@@ -42,8 +42,8 @@ fn main() {
     }
 
     // N=200 pins down the asymptotics: with O(1) copy-on-write forks
-    // the cost per statement is flat once the world cap is reached, so
-    // the curve must stay near-linear (sub-quadratic) through 200.
+    // and worlds joined at statement boundaries the live set stays at
+    // a few worlds, so the curve must stay near-linear through 200.
     for n in [10usize, 50, 200] {
         let src = scale::straight_line(n);
         bench(&format!("straight_line/{n}"), || {

@@ -431,6 +431,7 @@ pub fn e8_corpus() {
     let mut agg_exec_us = 0u64;
     let mut agg_forks = 0u64;
     let mut agg_pruned = 0u64;
+    let mut agg_merged = 0u64;
     let mut max_peak = 0usize;
     let mut capped = 0usize;
     for s in &corpus {
@@ -446,6 +447,7 @@ pub fn e8_corpus() {
             agg_exec_us += p.exec_us;
             agg_forks += p.forks;
             agg_pruned += p.worlds_pruned;
+            agg_merged += p.merged;
             max_peak = max_peak.max(p.peak_live_worlds);
         }
         capped += usize::from(!report.cap_hits.is_empty());
@@ -528,11 +530,12 @@ pub fn e8_corpus() {
     println!("(the lint row is the paper's 'inherently noisy' claim, quantified)");
     println!(
         "\nexploration cost over {} scripts: {} µs symbolic execution, {} fork(s), \
-         {} pruned, peak {} live world(s), {} script(s) hit a cap",
+         {} pruned, {} merged, peak {} live world(s), {} script(s) hit a cap",
         corpus.len(),
         agg_exec_us,
         agg_forks,
         agg_pruned,
+        agg_merged,
         max_peak,
         capped
     );
@@ -555,37 +558,31 @@ pub fn e9_scaling() {
         .expect("parses")
     };
     println!(
-        "{:<26} {:>8} {:>6} {:>12} {:>12}",
-        "script", "paths", "peak", "exec", "total"
+        "{:<26} {:>8} {:>6} {:>7} {:>7} {:>12} {:>12}",
+        "script", "paths", "peak", "forks", "merged", "exec", "total"
     );
-    for n in [10usize, 50, 100, 200] {
-        let report = profiled(&scale::straight_line(n), true);
+    let rows = [10usize, 50, 100, 200]
+        .map(|n| (format!("straight-line n={n}"), scale::straight_line(n)))
+        .into_iter()
+        .chain([4usize, 8, 16].map(|n| (format!("pipeline width={n}"), scale::wide_pipeline(n))));
+    for (name, src) in rows {
+        let report = profiled(&src, true);
         let p = report.profile.as_ref().unwrap();
         println!(
-            "{:<26} {:>8} {:>6} {:>9} µs {:>9} µs",
-            format!("straight-line n={n}"),
+            "{:<26} {:>8} {:>6} {:>7} {:>7} {:>9} µs {:>9} µs",
+            name,
             report.terminal_worlds,
             p.peak_live_worlds,
-            p.exec_us,
-            p.total_us
-        );
-    }
-    for n in [4usize, 8, 16] {
-        let report = profiled(&scale::wide_pipeline(n), true);
-        let p = report.profile.as_ref().unwrap();
-        println!(
-            "{:<26} {:>8} {:>6} {:>9} µs {:>9} µs",
-            format!("pipeline width={n}"),
-            report.terminal_worlds,
-            p.peak_live_worlds,
+            p.forks,
+            p.merged,
             p.exec_us,
             p.total_us
         );
     }
     println!("\ncorrelated branches (all test $1), with vs. without concrete pruning:");
     println!(
-        "{:<10} {:>12} {:>8} {:>10} {:>14} {:>10} {:>10}",
-        "branches", "paths(prune)", "pruned", "time", "paths(ablate)", "peak", "time"
+        "{:<10} {:>12} {:>8} {:>10} {:>14} {:>6} {:>7} {:>10}",
+        "branches", "paths(prune)", "pruned", "time", "paths(ablate)", "peak", "merged", "time"
     );
     for k in [2usize, 4, 6, 8] {
         let src = scale::branchy(k);
@@ -596,13 +593,14 @@ pub fn e9_scaling() {
             without.profile.as_ref().unwrap(),
         );
         println!(
-            "{:<10} {:>12} {:>8} {:>7} µs {:>14} {:>10} {:>7} µs",
+            "{:<10} {:>12} {:>8} {:>7} µs {:>14} {:>6} {:>7} {:>7} µs",
             format!("k={k}"),
             with.terminal_worlds,
             pw.worlds_pruned,
             pw.total_us,
             without.terminal_worlds,
             pwo.peak_live_worlds,
+            pwo.merged,
             pwo.total_us
         );
     }

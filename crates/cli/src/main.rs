@@ -1348,6 +1348,7 @@ fn render_profile(path: &str, p: &shoal_core::ProfileReport) -> String {
         ("forks".to_string(), p.forks.to_string()),
         ("worlds pruned".to_string(), p.worlds_pruned.to_string()),
         ("cap dropped".to_string(), p.cap_dropped.to_string()),
+        ("merged".to_string(), p.merged.to_string()),
     ];
     shoal_obs::stats::render_table(&format!("profile ({path})"), &rows)
 }

@@ -341,7 +341,8 @@ pub(crate) fn finalize(
         peak_live = peak_live,
         forks = stats.forks.get(),
         pruned = stats.pruned.get(),
-        cap_dropped = stats.cap_dropped.get()
+        cap_dropped = stats.cap_dropped.get(),
+        merged = stats.merged.get()
     );
     shoal_obs::counter_add("analyze.runs", 1);
     let profile = opts_profile.then(|| ProfileReport {
@@ -354,6 +355,7 @@ pub(crate) fn finalize(
         forks: stats.forks.get(),
         worlds_pruned: stats.pruned.get(),
         cap_dropped: stats.cap_dropped.get(),
+        merged: stats.merged.get(),
     });
     let cap_hits = stats.take_cap_hits();
     // A cap hit always marks the report incomplete, even when no world

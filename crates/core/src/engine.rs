@@ -222,8 +222,8 @@ impl Engine {
     /// Accounts one primitive branch decision: one world considered
     /// `attempted` successor candidates, of which `survived` remain.
     /// This is the *only* place fork/prune counters move, keeping
-    /// `terminal = 1 + forks − pruned − cap_dropped` exact (see
-    /// [`crate::stats`]).
+    /// `terminal = 1 + forks − pruned − cap_dropped − merged` exact
+    /// (see [`crate::stats`]).
     pub(crate) fn account_branch(
         &self,
         site: &'static str,
@@ -265,48 +265,113 @@ impl Engine {
         }
     }
 
-    /// Caps the world set, attaching an incompleteness note when
-    /// truncating.
-    fn cap(&self, mut worlds: Vec<World>, span: Span) -> Vec<World> {
-        self.stats.note_live(worlds.len());
-        if worlds.len() > self.opts.max_worlds {
-            let dropped = worlds.len() - self.opts.max_worlds;
-            {
-                let mut tree = self.tree.borrow_mut();
-                for w in &worlds[self.opts.max_worlds..] {
-                    tree.mark_cap_dropped(w.id);
-                }
+    /// Caps a live world set at `max_worlds` (see [`Engine::truncate`]).
+    fn cap(&self, worlds: Vec<World>, span: Span) -> Vec<World> {
+        self.truncate(worlds, span, CapReason::MaxWorlds, |w| w)
+    }
+
+    /// Truncates a set of worlds (or of `(world, payload)` pairs, via
+    /// `world_of`) to `max_worlds`, closing the dropped worlds in the
+    /// world tree and attaching one incompleteness note per site.
+    /// `reason` is [`CapReason::MaxWorlds`] for live world sets and
+    /// [`CapReason::Expansion`] for word-expansion results.
+    fn truncate<T>(
+        &self,
+        mut items: Vec<T>,
+        span: Span,
+        reason: CapReason,
+        world_of: fn(&mut T) -> &mut World,
+    ) -> Vec<T> {
+        self.stats.note_live(items.len());
+        let max = self.opts.max_worlds;
+        if items.len() <= max {
+            return items;
+        }
+        let dropped = items.len() - max;
+        {
+            let mut tree = self.tree.borrow_mut();
+            for item in &mut items[max..] {
+                tree.mark_cap_dropped(world_of(item).id);
             }
-            worlds.truncate(self.opts.max_worlds);
-            self.stats.note_cap(CapReason::MaxWorlds, span.line, dropped);
-            self.audit_loss(
+        }
+        items.truncate(max);
+        self.stats.note_cap(reason, span.line, dropped);
+        let (cause, what) = match reason {
+            CapReason::Expansion => (
+                shoal_obs::audit::LossCause::ExpansionCap,
+                "expansion explosion: capped at",
+            ),
+            _ => (
                 shoal_obs::audit::LossCause::WorldCap,
-                || format!("line {}", span.line),
-                dropped as u64,
-            );
-            if let Some(w) = worlds.first_mut() {
-                let already = w
-                    .diags
-                    .iter()
-                    .any(|d| d.code == DiagCode::AnalysisIncomplete && d.span == span);
-                if !already {
-                    w.report(
-                        Diagnostic::new(
-                            DiagCode::AnalysisIncomplete,
-                            Severity::Note,
-                            span,
-                            format!(
-                                "path explosion: exploration capped at {} worlds",
-                                self.opts.max_worlds
-                            ),
-                        )
-                        .with_cap(CapReason::MaxWorlds)
-                        .with_origin("engine:cap"),
-                    );
+                "path explosion: exploration capped at",
+            ),
+        };
+        self.audit_loss(cause, || format!("line {}", span.line), dropped as u64);
+        if let Some(w) = items.first_mut().map(world_of) {
+            let already = w
+                .diags
+                .iter()
+                .any(|d| d.span == span && d.cap_reason == Some(reason));
+            if !already {
+                w.report(
+                    Diagnostic::new(
+                        DiagCode::AnalysisIncomplete,
+                        Severity::Note,
+                        span,
+                        format!("{what} {max} worlds"),
+                    )
+                    .with_cap(reason)
+                    .with_origin("engine:cap"),
+                );
+            }
+        }
+        items
+    }
+
+    /// Folds each class of joinable worlds ([`World::joinable`]) into
+    /// its lowest-id member, which keeps the slot of the class's first
+    /// member. Classification is one hash bucket per world plus
+    /// structural comparisons that skip shared COW structure, so a
+    /// boundary costs O(live worlds) on top of the worlds' divergence.
+    /// Each folded world becomes a `merged` leaf of the world tree.
+    fn join_worlds(&self, worlds: Vec<World>, line: u32) -> Vec<World> {
+        if worlds.len() < 2 {
+            return worlds;
+        }
+        let mut classes: Vec<World> = Vec::with_capacity(worlds.len());
+        // Bucket key → newest class with that key; `older[c]` chains
+        // each class to the previous one in its bucket.
+        let mut newest: std::collections::HashMap<u64, usize, shoal_obs::hash::FxBuildHasher> =
+            Default::default();
+        let mut older: Vec<Option<usize>> = Vec::with_capacity(worlds.len());
+        let mut merged = 0u64;
+        for mut w in worlds {
+            let key = w.join_key();
+            let mut cursor = newest.get(&key).copied();
+            while let Some(c) = cursor.filter(|&c| !classes[c].joinable(&w)) {
+                cursor = older[c];
+            }
+            match cursor {
+                Some(c) => {
+                    if w.id < classes[c].id {
+                        std::mem::swap(&mut classes[c], &mut w);
+                    }
+                    self.tree.borrow_mut().mark_merged(w.id);
+                    classes[c].absorb(w);
+                    merged += 1;
+                }
+                None => {
+                    older.push(newest.insert(key, classes.len()));
+                    classes.push(w);
                 }
             }
         }
-        worlds
+        if merged > 0 {
+            self.stats.merged.set(self.stats.merged.get() + merged);
+            shoal_obs::counter_add("engine.merged", merged);
+            shoal_obs::event!("merge", line = line, merged = merged, live = classes.len());
+        }
+        classes
     }
 
     /// Executes a list of items over a set of worlds.
@@ -352,7 +417,8 @@ impl Engine {
                 w.last_exit = ExitStatus::Zero;
             }
         }
-        (self.cap(next, span), true)
+        let joined = self.join_worlds(next, span.line);
+        (self.cap(joined, span), true)
     }
 
     fn exec_and_or(&self, worlds: Vec<World>, and_or: &AndOr) -> Vec<World> {
@@ -1041,7 +1107,7 @@ impl Engine {
                     next.push((w2, all));
                 }
             }
-            expanded = self.cap_pairs(next, sc.span);
+            expanded = self.truncate(next, sc.span, CapReason::Expansion, |p| &mut p.0);
         }
         // 3. Redirections: output redirects create/truncate their
         // targets; input redirects require them.
@@ -1078,7 +1144,7 @@ impl Engine {
                 redirected.push((w2, fields.clone()));
             }
         }
-        let expanded = self.cap_pairs(redirected, sc.span);
+        let expanded = self.truncate(redirected, sc.span, CapReason::Expansion, |p| &mut p.0);
         let mut out = Vec::new();
         for (mut w, fields) in expanded {
             if w.halted {
@@ -1131,42 +1197,6 @@ impl Engine {
             }
         }
         out
-    }
-
-    fn cap_pairs<T>(&self, mut pairs: Vec<(World, T)>, span: Span) -> Vec<(World, T)> {
-        self.stats.note_live(pairs.len());
-        if pairs.len() > self.opts.max_worlds {
-            let dropped = pairs.len() - self.opts.max_worlds;
-            {
-                let mut tree = self.tree.borrow_mut();
-                for (w, _) in &pairs[self.opts.max_worlds..] {
-                    tree.mark_cap_dropped(w.id);
-                }
-            }
-            pairs.truncate(self.opts.max_worlds);
-            self.stats.note_cap(CapReason::Expansion, span.line, dropped);
-            self.audit_loss(
-                shoal_obs::audit::LossCause::ExpansionCap,
-                || format!("line {}", span.line),
-                dropped as u64,
-            );
-            if let Some((w, _)) = pairs.first_mut() {
-                w.report(
-                    Diagnostic::new(
-                        DiagCode::AnalysisIncomplete,
-                        Severity::Note,
-                        span,
-                        format!(
-                            "expansion explosion: capped at {} worlds",
-                            self.opts.max_worlds
-                        ),
-                    )
-                    .with_cap(CapReason::Expansion)
-                    .with_origin("engine:cap"),
-                );
-            }
-        }
-        pairs
     }
 
     fn exec_function(&self, mut world: World, name: &str, args: &[Field]) -> Vec<World> {

@@ -109,6 +109,7 @@ struct Checkpoint {
     forks: u64,
     pruned: u64,
     cap_dropped: u64,
+    merged: u64,
     peak_live: usize,
     cap_hits: Vec<CapHit>,
     audit: AuditRecorder,
@@ -331,6 +332,7 @@ impl IncrSession {
             engine.stats.forks.set(chk.forks);
             engine.stats.pruned.set(chk.pruned);
             engine.stats.cap_dropped.set(chk.cap_dropped);
+            engine.stats.merged.set(chk.merged);
             engine.stats.peak_live.set(chk.peak_live);
             *engine.stats.cap_hits.borrow_mut() = chk.cap_hits;
             engine.audit.replace(chk.audit);
@@ -371,6 +373,7 @@ impl IncrSession {
                     forks: engine.stats.forks.get(),
                     pruned: engine.stats.pruned.get(),
                     cap_dropped: engine.stats.cap_dropped.get(),
+                    merged: engine.stats.merged.get(),
                     peak_live: engine.stats.peak_live.get(),
                     cap_hits: engine.stats.cap_hits.borrow().clone(),
                     audit: engine.audit.borrow().clone(),
@@ -457,10 +460,11 @@ fn fingerprint(engine: &Engine, worlds: &[World], approx: &[ApproxReason], ctx: 
     let st = &engine.stats;
     let _ = write!(
         s,
-        "forks={};pruned={};capped={};peak={};hits={:?};",
+        "forks={};pruned={};capped={};merged={};peak={};hits={:?};",
         st.forks.get(),
         st.pruned.get(),
         st.cap_dropped.get(),
+        st.merged.get(),
         st.peak_live.get(),
         st.cap_hits.borrow()
     );

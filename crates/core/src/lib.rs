@@ -33,6 +33,14 @@
 //! assert!(report.diagnostics.iter().any(|d| d.code == shoal_core::DiagCode::DangerousDelete));
 //! ```
 
+/// Version of what a report *says* for a given input, options and
+/// spec database. Bump it whenever a change alters report bodies (a
+/// new verdict, a different world count, a schema field): result
+/// caches key on it, so a warm start never serves a report the current
+/// engine would not produce. Epoch 2: worlds joined at statement
+/// boundaries, and the `merged` world-tree outcome.
+pub const REPORT_EPOCH: u32 = 2;
+
 pub mod analyze;
 pub mod annotations;
 pub mod audit;

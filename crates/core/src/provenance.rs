@@ -8,7 +8,8 @@
 //!   fork site that created it, and the engine records the **world
 //!   tree** ([`WorldTree`]): parent/child edges, the fork site and the
 //!   constraint added on each edge, and each world's final outcome
-//!   (terminal, pruned as infeasible, or dropped at an exploration cap);
+//!   (terminal, pruned as infeasible, dropped at an exploration cap, or
+//!   merged into a same-state sibling);
 //! * every constraint a world accumulates is a typed [`TrailEntry`]
 //!   (kind + span + description), not a bare string;
 //! * every diagnostic reported on a path carries a [`Provenance`]: the
@@ -132,6 +133,9 @@ pub enum WorldOutcome {
     Pruned,
     /// Dropped when exploration hit `max_worlds`.
     CapDropped,
+    /// Folded into a same-state sibling at a statement boundary (the
+    /// sibling carries on, with this world's findings).
+    Merged,
 }
 
 impl WorldOutcome {
@@ -142,6 +146,7 @@ impl WorldOutcome {
             WorldOutcome::Terminal => "terminal",
             WorldOutcome::Pruned => "pruned",
             WorldOutcome::CapDropped => "cap-dropped",
+            WorldOutcome::Merged => "merged",
         }
     }
 }
@@ -270,6 +275,11 @@ impl WorldTree {
         self.close(id, WorldOutcome::CapDropped);
     }
 
+    /// Closes a world folded into a same-state sibling.
+    pub fn mark_merged(&mut self, id: WorldId) {
+        self.close(id, WorldOutcome::Merged);
+    }
+
     /// Number of nodes (including synthetic root/end nodes).
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -300,6 +310,11 @@ impl WorldTree {
         self.count(WorldOutcome::CapDropped)
     }
 
+    /// Worlds folded into a same-state sibling.
+    pub fn merged_leaves(&self) -> usize {
+        self.count(WorldOutcome::Merged)
+    }
+
     /// Deterministic GraphViz DOT rendering of the tree.
     pub fn to_dot(&self) -> String {
         let mut out = String::new();
@@ -317,6 +332,7 @@ impl WorldTree {
                 WorldOutcome::Terminal => ", style=bold, color=blue",
                 WorldOutcome::Pruned => ", style=dashed, color=gray",
                 WorldOutcome::CapDropped => ", style=dashed, color=red",
+                WorldOutcome::Merged => ", style=dotted, color=darkgreen",
             };
             out.push_str(&format!("  n{} [label=\"{}\"{}];\n", n.id, label, style));
         }
@@ -347,6 +363,7 @@ impl WorldTree {
                 "cap_dropped".into(),
                 Json::Num(self.cap_dropped_leaves() as f64),
             ),
+            ("merged".into(), Json::Num(self.merged_leaves() as f64)),
             (
                 "nodes".into(),
                 Json::Arr(

@@ -8,12 +8,14 @@
 //! through `exec_items` — so the balance
 //!
 //! ```text
-//! terminal_worlds = 1 + forks − pruned − cap_dropped
+//! terminal_worlds = 1 + forks − pruned − cap_dropped − merged
 //! ```
 //!
 //! holds exactly by construction (each transition is counted once, at
-//! its origin). Composition sites (lists, pipelines, loops, captures)
-//! preserve world counts and are deliberately not instrumented.
+//! its origin; `merged` counts worlds folded into a same-state sibling
+//! at a statement boundary). Composition sites (lists, pipelines,
+//! loops, captures) preserve world counts and are deliberately not
+//! instrumented.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -86,6 +88,8 @@ pub struct EngineStats {
     pub pruned: Cell<u64>,
     /// Worlds dropped at `max_worlds` caps.
     pub cap_dropped: Cell<u64>,
+    /// Worlds folded into a same-state sibling at statement boundaries.
+    pub merged: Cell<u64>,
     /// Peak size of any live world set processed at one point.
     pub peak_live: Cell<usize>,
     /// Where exploration hit bounds, deduplicated by (reason, line).
@@ -158,6 +162,8 @@ pub struct ProfileReport {
     pub worlds_pruned: u64,
     /// Worlds dropped at `max_worlds` caps.
     pub cap_dropped: u64,
+    /// Worlds folded into a same-state sibling at statement boundaries.
+    pub merged: u64,
 }
 
 #[cfg(test)]

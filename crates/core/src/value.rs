@@ -72,6 +72,35 @@ impl SymStr {
         }
     }
 
+    /// Feeds a cheap digest of this value to `h`: literal text, symbol
+    /// ids and labels, and the outer shape of each constraint (its top
+    /// operator and arity, not the whole term). Equal values always
+    /// feed equal digests.
+    pub fn hash_shallow(&self, h: &mut impl std::hash::Hasher) {
+        use std::hash::Hash;
+        self.segs.len().hash(h);
+        for seg in &self.segs {
+            match seg {
+                Seg::Lit(text) => text.hash(h),
+                Seg::Sym {
+                    id,
+                    constraint,
+                    label,
+                } => {
+                    id.hash(h);
+                    label.hash(h);
+                    std::mem::discriminant(constraint).hash(h);
+                    match constraint {
+                        Regex::Class(c) => c.hash(h),
+                        Regex::Concat(rs) | Regex::Alt(rs) | Regex::And(rs) => rs.len().hash(h),
+                        Regex::Star(r) | Regex::Not(r) => std::mem::discriminant(&**r).hash(h),
+                        Regex::Empty | Regex::Eps => {}
+                    }
+                }
+            }
+        }
+    }
+
     /// Concatenates two values, merging adjacent literals.
     pub fn concat(&self, other: &SymStr) -> SymStr {
         let mut segs = self.segs.clone();

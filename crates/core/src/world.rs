@@ -330,6 +330,70 @@ impl World {
         }
     }
 
+    /// A cheap bucket key for [`World::joinable`]: flags, sizes, the
+    /// heap's O(1) shape digest, and shallow digests of the parameters,
+    /// cwd, `$0` and capture buffer. Variable values are left out (the
+    /// map can be large); joinable worlds always share the key.
+    pub fn join_key(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = shoal_obs::hash::FxHasher::default();
+        (self.last_exit as u8, self.halted, self.call_depth).hash(&mut h);
+        (self.vars.len(), self.functions.len(), self.sym_bases.len()).hash(&mut h);
+        self.fs.shape().hash(&mut h);
+        for v in self.positional.iter().chain(self.lazy_positional.values()) {
+            v.hash_shallow(&mut h);
+        }
+        for v in [&self.cwd, &self.script_name]
+            .into_iter()
+            .chain(&self.capture)
+        {
+            v.hash_shallow(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Can `other` be folded into this world at a statement boundary?
+    /// Everything the rest of the script can observe must be equal —
+    /// variables, parameters, `$0`, cwd, exit status, halt and capture
+    /// state, call depth, symbol bases and function bodies (by
+    /// pointer) — and the two heaps must be [`SymFs::joinable`]. The
+    /// trail and the findings may differ.
+    pub fn joinable(&self, other: &World) -> bool {
+        self.last_exit == other.last_exit
+            && self.halted == other.halted
+            && self.call_depth == other.call_depth
+            && self.capture == other.capture
+            && self.cwd == other.cwd
+            && self.script_name == other.script_name
+            && self.vars == other.vars
+            && self.positional == other.positional
+            && self.lazy_positional == other.lazy_positional
+            && self.sym_bases == other.sym_bases
+            && (self.functions.ptr_eq(&other.functions)
+                || (self.functions.len() == other.functions.len()
+                    && self
+                        .functions
+                        .iter()
+                        .zip(other.functions.iter())
+                        .all(|((ka, va), (kb, vb))| ka == kb && Arc::ptr_eq(va, vb))))
+            && self.fs.joinable(&other.fs)
+    }
+
+    /// Folds a [`World::joinable`] world into this one. This world's id
+    /// and trail stay (it is the witness); the heaps join, and the
+    /// other world's findings and fragile assumptions made after the
+    /// two last shared them are appended (the report deduplicates
+    /// findings, so a finding both made separately is harmless).
+    pub fn absorb(&mut self, other: World) {
+        self.fs.join(&other.fs);
+        self.diags.extend_unshared(&other.diags);
+        self.fragile_assumptions
+            .extend_unshared(&other.fragile_assumptions);
+        // Equal values, but one side may have allocated (and dropped)
+        // more fresh symbols; never reuse an id either side handed out.
+        self.next_sym = self.next_sym.max(other.next_sym);
+    }
+
     /// Appends to the capture buffer (stdout during command
     /// substitution).
     pub fn emit_stdout(&mut self, chunk: SymStr) {

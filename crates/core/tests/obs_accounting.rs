@@ -1,6 +1,7 @@
 //! The exploration accounting must balance exactly: every terminal
 //! world is explained by the initial world plus forks minus pruned
-//! branches minus cap-dropped worlds. These tests use only per-engine
+//! branches minus cap-dropped worlds minus worlds merged into a
+//! same-state sibling. These tests use only per-engine
 //! counters (via `ProfileReport`), no global recorder state, so they
 //! can run in parallel with everything else.
 
@@ -22,12 +23,18 @@ fn profiled(src: &str) -> (shoal_core::AnalysisReport, ProfileReport) {
 
 fn assert_balanced(name: &str, src: &str) {
     let (report, p) = profiled(src);
-    let expected = 1 + p.forks as i64 - p.worlds_pruned as i64 - p.cap_dropped as i64;
+    let expected =
+        1 + p.forks as i64 - p.worlds_pruned as i64 - p.cap_dropped as i64 - p.merged as i64;
     assert_eq!(
         report.terminal_worlds as i64, expected,
-        "{name}: terminal worlds ≠ 1 + forks − pruned − cap_dropped \
-         (terminal={}, forks={}, pruned={}, cap_dropped={})",
-        report.terminal_worlds, p.forks, p.worlds_pruned, p.cap_dropped
+        "{name}: terminal worlds ≠ 1 + forks − pruned − cap_dropped − merged \
+         (terminal={}, forks={}, pruned={}, cap_dropped={}, merged={})",
+        report.terminal_worlds, p.forks, p.worlds_pruned, p.cap_dropped, p.merged
+    );
+    assert_eq!(
+        report.world_tree.merged_leaves() as u64,
+        p.merged,
+        "{name}: merged tree leaves disagree with the merged counter"
     );
     assert_eq!(
         report.worlds_explored, p.peak_live_worlds,
@@ -69,7 +76,7 @@ fn figures_balance_without_pruning() {
         let p = report.profile.unwrap();
         assert_eq!(
             report.terminal_worlds as i64,
-            1 + p.forks as i64 - p.worlds_pruned as i64 - p.cap_dropped as i64,
+            1 + p.forks as i64 - p.worlds_pruned as i64 - p.cap_dropped as i64 - p.merged as i64,
             "{name} (pruning off) out of balance"
         );
     }

@@ -25,6 +25,7 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
         ("fig1", figures::FIG1),
         ("fig2", figures::FIG2),
         ("fig3", figures::FIG3),
+        ("fig5", figures::FIG5),
     ] {
         install();
         let report = analyze_source_with(
@@ -44,12 +45,14 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
         let mut forks = 0u64;
         let mut pruned = 0u64;
         let mut cap_dropped = 0u64;
+        let mut merged = 0u64;
         let mut joins = 0u64;
         for ev in &events {
             match ev.kind {
                 "fork" => forks += field_u64(ev, "new_worlds"),
                 "prune" => pruned += field_u64(ev, "dropped"),
                 "cap_hit" => cap_dropped += field_u64(ev, "dropped"),
+                "merge" => merged += field_u64(ev, "merged"),
                 "join" => joins += 1,
                 _ => {}
             }
@@ -60,10 +63,11 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
             cap_dropped, p.cap_dropped,
             "{name}: cap_hit events ≠ cap counter"
         );
+        assert_eq!(merged, p.merged, "{name}: merge events ≠ merged counter");
         assert_eq!(joins, 1, "{name}: exactly one join event per analysis");
         assert_eq!(
             report.terminal_worlds as i64,
-            1 + forks as i64 - pruned as i64 - cap_dropped as i64,
+            1 + forks as i64 - pruned as i64 - cap_dropped as i64 - merged as i64,
             "{name}: event stream does not explain the terminal world count"
         );
 

@@ -9,7 +9,10 @@
 //!   ([`AnalysisOptions::canonical`]) plus the strict/resilient parse
 //!   mode,
 //! * the spec-database fingerprint ([`shoal_spec::SpecLibrary::fingerprint`]),
-//! * the shoal version.
+//! * the shoal version and the report epoch
+//!   ([`shoal_core::REPORT_EPOCH`]), which moves whenever the engine's
+//!   output for the same input does, even when the version string
+//!   does not.
 //!
 //! Changing any component changes the key, so invalidation is free:
 //! stale entries simply stop being addressed (the disk layer is
@@ -50,8 +53,14 @@ pub struct KeyParts<'a> {
     pub version: &'a str,
 }
 
-/// The 32-hex-digit content address of a request.
+/// The 32-hex-digit content address of a request under the current
+/// [`shoal_core::REPORT_EPOCH`].
 pub fn cache_key(parts: &KeyParts) -> String {
+    cache_key_at_epoch(parts, shoal_core::REPORT_EPOCH)
+}
+
+/// [`cache_key`] under an explicit report epoch.
+pub fn cache_key_at_epoch(parts: &KeyParts, epoch: u32) -> String {
     shoal_obs::hash::keyed_hash128(&[
         ("blob", parts.source.as_bytes()),
         ("options", parts.options.canonical().as_bytes()),
@@ -65,6 +74,7 @@ pub fn cache_key(parts: &KeyParts) -> String {
         ),
         ("specs", parts.spec_fingerprint.to_string().as_bytes()),
         ("version", parts.version.as_bytes()),
+        ("epoch", epoch.to_string().as_bytes()),
     ])
 }
 
@@ -451,6 +461,23 @@ mod tests {
 
     fn opts() -> AnalysisOptions {
         AnalysisOptions::default()
+    }
+
+    #[test]
+    fn key_changes_with_the_report_epoch() {
+        let o = opts();
+        let parts = KeyParts {
+            source: "echo hi\n",
+            options: &o,
+            resilient: false,
+            spec_fingerprint: 1,
+            version: "0.1.0",
+        };
+        let now = cache_key(&parts);
+        assert_eq!(now, cache_key_at_epoch(&parts, shoal_core::REPORT_EPOCH));
+        for other in [shoal_core::REPORT_EPOCH - 1, shoal_core::REPORT_EPOCH + 1] {
+            assert_ne!(now, cache_key_at_epoch(&parts, other));
+        }
     }
 
     #[test]

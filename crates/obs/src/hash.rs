@@ -56,9 +56,84 @@ pub fn keyed_hash128(parts: &[(&str, &[u8])]) -> String {
     content_hash128(&buf)
 }
 
+/// A fast, deterministic, non-cryptographic [`std::hash::Hasher`] (the
+/// multiply-rotate mix of rustc's `FxHasher`) for in-process bucketing
+/// of small keys, where `DefaultHasher`'s SipHash costs more than the
+/// work it buckets. Not for anything persisted or adversarial.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word) ^ ((rest.len() as u64) << 59));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `HashMap`/`HashSet` builder for [`FxHasher`].
+pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fx_hasher_is_deterministic_and_separates_inputs() {
+        use std::hash::{Hash, Hasher};
+        let digest = |v: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            v(&mut h);
+            h.finish()
+        };
+        let a = digest(&|h| ("abc", 7u32).hash(h));
+        assert_eq!(a, digest(&|h| ("abc", 7u32).hash(h)));
+        assert_ne!(a, digest(&|h| ("abd", 7u32).hash(h)));
+        assert_ne!(a, digest(&|h| ("abc", 8u32).hash(h)));
+        assert_ne!(digest(&|h| h.write(b"a")), digest(&|h| h.write(b"a\0")));
+    }
 
     #[test]
     fn known_fnv_vectors() {

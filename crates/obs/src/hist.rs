@@ -1,9 +1,8 @@
 //! Log-bucketed latency histograms with exact percentile extraction.
 //!
-//! The power-of-two [`crate::metrics::Histogram`] answers "what order
-//! of magnitude" — good enough for profiling tables, useless for a
-//! latency SLO: between 1 ms and 2 ms it has exactly one bucket, so
-//! p50 and p99 collapse. [`LogHistogram`] keeps the log-scale range
+//! A plain power-of-two histogram answers "what order of magnitude" —
+//! useless for a latency SLO: between 1 ms and 2 ms it has exactly one
+//! bucket, so p50 and p99 collapse. [`LogHistogram`] keeps the log-scale range
 //! (values up to 2^63 fit) but splits every octave into
 //! [`SUB_BUCKETS`] linear sub-buckets, bounding the relative
 //! quantization error at 1/[`SUB_BUCKETS`] (6.25%) while the whole

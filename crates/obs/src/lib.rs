@@ -9,8 +9,8 @@
 //!   instrumentation site costs one relaxed atomic load and constructs
 //!   nothing.
 //! * **metrics** ([`metrics`]) — named counters, high-watermark gauges,
-//!   and power-of-two-bucket histograms, snapshotted for the `--stats`
-//!   table or JSONL export.
+//!   and log-bucketed histograms ([`hist::LogHistogram`]), snapshotted
+//!   for the `--stats` table or JSONL export.
 //! * **request tracing** ([`trace`], [`hist`]) — client-minted trace
 //!   IDs, thread-local per-phase accounting, a bounded ring of
 //!   completed request traces, and log-bucketed latency histograms

@@ -1,5 +1,5 @@
-//! Named counters, high-watermark gauges, and power-of-two-bucket
-//! histograms.
+//! Named counters, high-watermark gauges, and log-bucketed histograms
+//! ([`LogHistogram`], whose percentiles never exceed the recorded max).
 //!
 //! All helpers early-return on the recorder's disabled flag, so the
 //! instrumented hot paths (regex operations, monitor lines, fixpoint
@@ -7,76 +7,16 @@
 //! When on, each update takes the global mutex — acceptable for
 //! profiling runs, which are explicitly opt-in.
 
+use crate::hist::LogHistogram;
 use crate::recorder::enabled;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-
-/// log2 bucket count: values up to 2^63 land in the last bucket.
-pub const BUCKETS: usize = 64;
-
-/// An exponential (power-of-two) histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub buckets: Vec<u64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: vec![0; BUCKETS],
-        }
-    }
-}
-
-impl Histogram {
-    pub fn record(&mut self, v: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        let bucket = (64 - v.leading_zeros()) as usize; // v=0 → 0, 1 → 1, 2..3 → 2, …
-        self.buckets[bucket.min(BUCKETS - 1)] += 1;
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile from the bucket midpoints (upper bound of the
-    /// containing bucket) — good enough for order-of-magnitude profiling.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if i == 0 { 0 } else { (1u64 << i).saturating_sub(1) };
-            }
-        }
-        self.max
-    }
-}
 
 #[derive(Default)]
 struct Store {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, LogHistogram>,
 }
 
 static STORE: Mutex<Option<Store>> = Mutex::new(None);
@@ -129,7 +69,7 @@ pub fn hist_record_name(name: String, v: u64) {
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<String, LogHistogram>,
 }
 
 impl MetricsSnapshot {
@@ -148,7 +88,7 @@ impl MetricsSnapshot {
     }
 
     /// The histogram recorded under `name`, if any samples exist.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.histograms.get(name)
     }
 }

@@ -94,7 +94,7 @@ impl<T: fmt::Debug> fmt::Debug for CowVec<T> {
 
 impl<T: PartialEq> PartialEq for CowVec<T> {
     fn eq(&self, other: &Self) -> bool {
-        *self.inner == *other.inner
+        Arc::ptr_eq(&self.inner, &other.inner) || *self.inner == *other.inner
     }
 }
 
@@ -165,6 +165,14 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
     }
 }
 
+impl<K, V> CowMap<K, V> {
+    /// True when both handles share one underlying map (an O(1)
+    /// sufficient condition for equality).
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+}
+
 impl<K, V> Deref for CowMap<K, V> {
     type Target = BTreeMap<K, V>;
     fn deref(&self) -> &BTreeMap<K, V> {
@@ -194,7 +202,7 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for CowMap<K, V> {
 
 impl<K: PartialEq, V: PartialEq> PartialEq for CowMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        *self.inner == *other.inner
+        Arc::ptr_eq(&self.inner, &other.inner) || *self.inner == *other.inner
     }
 }
 
@@ -266,6 +274,38 @@ impl<T> CowList<T> {
         self.len += 1;
     }
 
+    /// The elements of `self` and of `other` that are not in their
+    /// shared tail (the nodes both lists hold by pointer, i.e. what they
+    /// inherited from a common fork point), each oldest first. Costs
+    /// the length difference plus the unshared parts, not the full
+    /// lists.
+    pub fn unshared<'a>(&'a self, other: &'a CowList<T>) -> (Vec<&'a T>, Vec<&'a T>) {
+        let (mut a, mut b) = (self.head.as_ref(), other.head.as_ref());
+        let (mut la, mut lb) = (self.len, other.len);
+        let (mut only_a, mut only_b) = (Vec::new(), Vec::new());
+        loop {
+            match (a, b) {
+                (Some(x), Some(y)) if la == lb && Arc::ptr_eq(x, y) => break,
+                (None, None) => break,
+                _ => {}
+            }
+            if la >= lb {
+                let x = a.expect("a non-empty list is at least as long as the other");
+                only_a.push(&x.value);
+                a = x.prev.as_ref();
+                la -= 1;
+            } else {
+                let y = b.expect("the longer list is non-empty");
+                only_b.push(&y.value);
+                b = y.prev.as_ref();
+                lb -= 1;
+            }
+        }
+        only_a.reverse();
+        only_b.reverse();
+        (only_a, only_b)
+    }
+
     /// Iterates oldest-first. Collects the spine (O(n)) before yielding.
     pub fn iter(&self) -> CowListIter<'_, T> {
         let mut items = Vec::with_capacity(self.len);
@@ -277,6 +317,18 @@ impl<T> CowList<T> {
         items.reverse();
         CowListIter {
             inner: items.into_iter(),
+        }
+    }
+}
+
+impl<T: Clone> CowList<T> {
+    /// Appends, oldest first, the elements of `other` that are not in
+    /// the tail it shares with `self` (see [`CowList::unshared`]).
+    pub fn extend_unshared(&mut self, other: &CowList<T>) {
+        let (_, theirs) = self.unshared(other);
+        let theirs: Vec<T> = theirs.into_iter().cloned().collect();
+        for value in theirs {
+            self.push(value);
         }
     }
 }
@@ -501,6 +553,73 @@ impl<K: Ord + Clone + Hash, V: Clone> Pmap<K, V> {
     }
 }
 
+impl<K: Ord, V> Pmap<K, V> {
+    /// True when both maps hold the same key set, in the same tree
+    /// shape, with `same` holding for every pair of values under one
+    /// key. Subtrees shared by pointer are skipped, so comparing two
+    /// forks of one map costs their divergence, not their size. The
+    /// shape is a function of the key set (priorities are key hashes),
+    /// so a `false` caused by shape alone needs a 64-bit priority tie.
+    pub fn matches_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
+        self.len == other.len && links_match(&self.root, &other.root, &same)
+    }
+}
+
+impl<K: Ord + Clone, V: Clone + PartialEq> Pmap<K, V> {
+    /// Replaces every value with `join(mine, theirs)`, where `other`
+    /// must satisfy [`Pmap::matches_by`] against `self`. Shared subtrees
+    /// and nodes whose value does not change are kept, not copied.
+    pub fn join_with(&mut self, other: &Self, join: impl Fn(&V, &V) -> V) {
+        self.root = join_links(&self.root, &other.root, &join);
+    }
+}
+
+fn links_match<K: Ord, V>(a: &Link<K, V>, b: &Link<K, V>, same: &impl Fn(&V, &V) -> bool) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(x), Some(y)) => {
+            Arc::ptr_eq(x, y)
+                || (x.key == y.key
+                    && same(&x.value, &y.value)
+                    && links_match(&x.left, &y.left, same)
+                    && links_match(&x.right, &y.right, same))
+        }
+        _ => false,
+    }
+}
+
+fn join_links<K: Ord + Clone, V: Clone + PartialEq>(
+    a: &Link<K, V>,
+    b: &Link<K, V>,
+    join: &impl Fn(&V, &V) -> V,
+) -> Link<K, V> {
+    let (Some(x), Some(y)) = (a, b) else {
+        return a.clone();
+    };
+    if Arc::ptr_eq(x, y) {
+        return a.clone();
+    }
+    debug_assert!(x.key == y.key, "join_with needs maps of equal shape");
+    let value = join(&x.value, &y.value);
+    let left = join_links(&x.left, &y.left, join);
+    let right = join_links(&x.right, &y.right, join);
+    let same_link = |l: &Link<K, V>, r: &Link<K, V>| match (l, r) {
+        (Some(l), Some(r)) => Arc::ptr_eq(l, r),
+        (None, None) => true,
+        _ => false,
+    };
+    if value == x.value && same_link(&left, &x.left) && same_link(&right, &x.right) {
+        return a.clone();
+    }
+    Some(Arc::new(PNode {
+        key: x.key.clone(),
+        value,
+        prio: x.prio,
+        left,
+        right,
+    }))
+}
+
 /// Splits `t` into (keys < k, value at k, keys > k), path-copying.
 #[allow(clippy::type_complexity)]
 fn split<K: Ord + Clone, V: Clone>(t: Link<K, V>, k: &K) -> (Link<K, V>, Option<V>, Link<K, V>) {
@@ -710,6 +829,50 @@ mod tests {
         assert_eq!(b.get(&7), Some(&"child"));
         assert_eq!(b.get(&50), None);
         assert_eq!(b.get(&200), None);
+    }
+
+    #[test]
+    fn cowlist_unshared_skips_the_common_tail() {
+        let mut base: CowList<i32> = CowList::new();
+        base.push(1);
+        base.push(2);
+        let mut a = base.clone();
+        let mut b = base.clone();
+        a.push(3);
+        b.push(30);
+        b.push(31);
+        let (only_a, only_b) = a.unshared(&b);
+        assert_eq!(only_a, vec![&3]);
+        assert_eq!(only_b, vec![&30, &31]);
+        let (x, y) = base.unshared(&a);
+        assert!(x.is_empty());
+        assert_eq!(y, vec![&3]);
+        // Equal values pushed separately are not shared.
+        let c: CowList<i32> = [1, 2].into_iter().collect();
+        let (x, y) = base.unshared(&c);
+        assert_eq!((x, y), (vec![&1, &2], vec![&1, &2]));
+        // Folding b into a appends only what b added after the fork.
+        a.extend_unshared(&b);
+        assert_eq!(a.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3, 30, 31]);
+    }
+
+    #[test]
+    fn pmap_join_with_keeps_shared_structure() {
+        let mut a: Pmap<u32, u32> = (0..50).map(|k| (k, k)).collect();
+        let mut b = a.clone();
+        b.insert(7, 700);
+        b.insert(40, 4000);
+        assert!(a.matches_by(&b, |_, _| true));
+        assert!(!a.matches_by(&b, |x, y| x == y));
+        let mut c = b.clone();
+        c.insert(99, 1);
+        assert!(!a.matches_by(&c, |_, _| true), "different key sets");
+        a.join_with(&b, |x, y| *x.max(y));
+        assert_eq!(a.get(&7), Some(&700));
+        assert_eq!(a.get(&40), Some(&4000));
+        assert_eq!(a.get(&8), Some(&8));
+        assert_eq!(a.len(), 50);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
                         "n={} mean={} p50={} p99={} max={}",
                         h.count,
                         fmt_us(h.mean() as u64),
-                        fmt_us(h.quantile(0.5)),
-                        fmt_us(h.quantile(0.99)),
+                        fmt_us(h.p50()),
+                        fmt_us(h.p99()),
                         fmt_us(h.max),
                     )
                 } else {
@@ -63,8 +63,8 @@ pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
                         "n={} mean={:.1} p50={} p99={} max={}",
                         h.count,
                         h.mean(),
-                        h.quantile(0.5),
-                        h.quantile(0.99),
+                        h.p50(),
+                        h.p99(),
                         h.max,
                     )
                 };
@@ -77,4 +77,29 @@ pub fn render_snapshot(snap: &MetricsSnapshot) -> String {
         out.push_str("(no metrics recorded)\n");
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn single_sample_percentiles_never_exceed_the_max() {
+        let mut snap = MetricsSnapshot::default();
+        let mut h = crate::LogHistogram::default();
+        h.record(300_230);
+        assert!(
+            h.p50() <= h.p99() && h.p99() <= h.max,
+            "p50={} p99={} max={}",
+            h.p50(),
+            h.p99(),
+            h.max
+        );
+        snap.histograms.insert("span.exec.us".into(), h);
+        let text = render_snapshot(&snap);
+        assert!(
+            text.contains("p50=300.23 ms p99=300.23 ms max=300.23 ms"),
+            "{text}"
+        );
+    }
 }

@@ -10,6 +10,13 @@
 //! * **effects**, the script's own changes ("after `rm -r $1`, `$1` is
 //!   gone").
 //!
+//! Every known location carries one origin bit saying which of the two
+//! determines its current state. A requirement that narrows a known
+//! state (`Exists` to `Dir`) is an assumption: the script did not make
+//! the node a directory, the initial world had to. Joining two heaps
+//! ([`SymFs::join`]) keeps a fact assumed only when it was assumed in
+//! both.
+//!
 //! A [`Require::Contradiction`] means the current path *cannot* satisfy a
 //! command's precondition no matter what the initial world looked like —
 //! the command always fails on this path. That is exactly the paper's §4
@@ -22,7 +29,7 @@
 //! 3. a file has no children.
 
 use crate::key::FsKey;
-use shoal_obs::{CowList, Pmap};
+use shoal_obs::Pmap;
 use std::fmt;
 
 /// What is known about one location.
@@ -96,40 +103,77 @@ impl Require {
     }
 }
 
+/// What is known about one location, and where the knowledge came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fact {
+    state: NodeState,
+    /// True when an assumption about the initial world (not an effect
+    /// of the script) determines `state`.
+    assumed: bool,
+}
+
 /// The symbolic heap. Cloneable: the engine forks it per execution path.
 ///
-/// Both fields are structurally shared ([`Pmap`], [`CowList`]), so a
-/// fork is O(1) and post-fork writes path-copy O(log n) nodes instead of
-/// duplicating the whole heap — the heap grows with script length, and
-/// eager clones made long straight-line scripts quadratic.
+/// The map is structurally shared ([`Pmap`]), so a fork is O(1) and
+/// post-fork writes path-copy O(log n) nodes instead of duplicating the
+/// whole heap — the heap grows with script length, and eager clones
+/// made long straight-line scripts quadratic.
 #[derive(Debug, Clone, Default)]
 pub struct SymFs {
     /// Current knowledge per location (key-sorted for deterministic
-    /// output).
-    entries: Pmap<FsKey, NodeState>,
-    /// Assumptions made about the *initial* world, in order.
-    assumptions: CowList<(FsKey, NodeState)>,
+    /// output). Written only through [`SymFs::put`] and
+    /// [`SymFs::unset`], which keep `shape` in step, and by
+    /// [`SymFs::join`], which changes no exists bit.
+    entries: Pmap<FsKey, Fact>,
+    /// XOR over known locations of a hash of (location, exists): an
+    /// O(1) digest of exactly what [`SymFs::joinable`] compares.
+    shape: u64,
 }
 
 impl SymFs {
     /// An empty heap: nothing known beyond the existence of `/`.
     pub fn new() -> SymFs {
         let mut fs = SymFs::default();
-        fs.entries.insert(FsKey::root(), NodeState::Dir);
+        fs.put(FsKey::root(), Fact::effect(NodeState::Dir));
         fs
+    }
+
+    /// Records `fact` at `key`, keeping the shape digest in step.
+    fn put(&mut self, key: FsKey, fact: Fact) {
+        let kh = key_hash(&key);
+        if let Some(old) = self.entries.insert(key, fact) {
+            self.shape ^= shape_bit(kh, old.state.exists());
+        }
+        self.shape ^= shape_bit(kh, fact.state.exists());
+    }
+
+    /// Forgets `key`, keeping the shape digest in step.
+    fn unset(&mut self, key: &FsKey) {
+        if let Some(old) = self.entries.remove(key) {
+            self.shape ^= shape_bit(key_hash(key), old.state.exists());
+        }
+    }
+
+    /// An O(1) digest of the known locations and whether each exists:
+    /// heaps that are [`SymFs::joinable`] always have equal shapes.
+    pub fn shape(&self) -> u64 {
+        self.shape
     }
 
     /// Direct lookup of what is currently known about `key`, including
     /// knowledge derived from the tree axioms.
     pub fn lookup(&self, key: &FsKey) -> Option<NodeState> {
-        if let Some(&s) = self.entries.get(key) {
-            return Some(s);
+        if let Some(f) = self.entries.get(key) {
+            return Some(f.state);
         }
         // Axiom 2/3: an absent or file-typed ancestor forces absence.
         for anc in key.proper_ancestors() {
-            match self.entries.get(&anc) {
-                Some(NodeState::Absent) | Some(NodeState::File) => return Some(NodeState::Absent),
-                _ => {}
+            if let Some(Fact {
+                state: NodeState::Absent | NodeState::File,
+                ..
+            }) = self.entries.get(&anc)
+            {
+                return Some(NodeState::Absent);
             }
         }
         // Axiom 1: a known child forces this node to be a directory.
@@ -137,7 +181,7 @@ impl SymFs {
             .entries
             .iter_from(key)
             .take_while(|(k, _)| key.is_ancestor_or_equal(k))
-            .any(|(k, s)| k != key && s.exists());
+            .any(|(k, f)| k != key && f.state.exists());
         if has_known_child {
             return Some(NodeState::Dir);
         }
@@ -150,7 +194,16 @@ impl SymFs {
     pub fn require(&mut self, key: &FsKey, state: NodeState) -> Require {
         match self.lookup(key) {
             Some(known) if known.compatible(state) => {
-                self.entries.insert(key.clone(), known.refine(state));
+                let refined = known.refine(state);
+                let fact = Fact {
+                    state: refined,
+                    assumed: refined != known || self.determined_by_assumption(key),
+                };
+                // Re-inserting an unchanged fact would path-copy for
+                // nothing and unshare the heap from its fork siblings.
+                if self.entries.get(key) != Some(&fact) {
+                    self.put(key.clone(), fact);
+                }
                 if state.exists() {
                     // Existence also pins the ancestors as directories.
                     if let Require::Contradiction(c) = self.require_ancestors(key) {
@@ -168,8 +221,7 @@ impl SymFs {
                         return Require::Contradiction(c);
                     }
                 }
-                self.entries.insert(key.clone(), state);
-                self.assumptions.push((key.clone(), state));
+                self.put(key.clone(), Fact::assumed(state));
                 Require::Assumed
             }
         }
@@ -181,7 +233,7 @@ impl SymFs {
             match self.lookup(&anc) {
                 Some(NodeState::Dir) => {}
                 Some(other) if other.compatible(NodeState::Dir) => {
-                    self.entries.insert(anc, NodeState::Dir);
+                    self.put(anc, Fact::assumed(NodeState::Dir));
                 }
                 Some(other) => {
                     return Require::Contradiction(format!(
@@ -189,8 +241,7 @@ impl SymFs {
                     ))
                 }
                 None => {
-                    self.entries.insert(anc.clone(), NodeState::Dir);
-                    self.assumptions.push((anc, NodeState::Dir));
+                    self.put(anc, Fact::assumed(NodeState::Dir));
                 }
             }
         }
@@ -206,7 +257,7 @@ impl SymFs {
                 let _ = self.create_file(key);
             }
             _ => {
-                self.entries.insert(key.clone(), state);
+                self.put(key.clone(), Fact::effect(state));
             }
         }
     }
@@ -226,16 +277,16 @@ impl SymFs {
     /// gone.
     pub fn delete_tree(&mut self, key: &FsKey) {
         for k in self.subtree_keys(key, true) {
-            self.entries.remove(&k);
+            self.unset(&k);
         }
-        self.entries.insert(key.clone(), NodeState::Absent);
+        self.put(key.clone(), Fact::effect(NodeState::Absent));
     }
 
     /// Records the effect of `rm dir/*`: the node's *children* are gone
     /// but the node itself remains.
     pub fn delete_children(&mut self, key: &FsKey) {
         for k in self.subtree_keys(key, false) {
-            self.entries.remove(&k);
+            self.unset(&k);
         }
     }
 
@@ -247,9 +298,9 @@ impl SymFs {
         let r = self.require_ancestors(key);
         if r.ok() {
             for k in self.subtree_keys(key, false) {
-                self.entries.remove(&k);
+                self.unset(&k);
             }
-            self.entries.insert(key.clone(), NodeState::File);
+            self.put(key.clone(), Fact::effect(NodeState::File));
         }
         r
     }
@@ -258,14 +309,9 @@ impl SymFs {
     pub fn create_dir(&mut self, key: &FsKey) -> Require {
         let r = self.require_ancestors(key);
         if r.ok() {
-            self.entries.insert(key.clone(), NodeState::Dir);
+            self.put(key.clone(), Fact::effect(NodeState::Dir));
         }
         r
-    }
-
-    /// The assumptions accumulated about the initial world, in order.
-    pub fn assumptions(&self) -> impl Iterator<Item = &(FsKey, NodeState)> {
-        self.assumptions.iter()
     }
 
     /// Is the knowledge that currently *determines* `key`'s state an
@@ -274,14 +320,14 @@ impl SymFs {
     /// deleted it" (report-worthy) from "fails on the path where we
     /// assumed it never existed" (ordinary).
     pub fn determined_by_assumption(&self, key: &FsKey) -> bool {
-        if let Some(&s) = self.entries.get(key) {
-            return self.assumptions.iter().any(|(k, st)| k == key && *st == s);
+        if let Some(f) = self.entries.get(key) {
+            return f.assumed;
         }
         // Derived knowledge: find the ancestor that forces the state.
         for anc in key.proper_ancestors() {
-            if let Some(&s) = self.entries.get(&anc) {
-                if matches!(s, NodeState::Absent | NodeState::File) {
-                    return self.assumptions.iter().any(|(k, st)| *k == anc && *st == s);
+            if let Some(f) = self.entries.get(&anc) {
+                if matches!(f.state, NodeState::Absent | NodeState::File) {
+                    return f.assumed;
                 }
             }
         }
@@ -290,7 +336,63 @@ impl SymFs {
 
     /// Every location with known state, in key order.
     pub fn entries(&self) -> impl Iterator<Item = (&FsKey, NodeState)> {
-        self.entries.iter().map(|(k, &s)| (k, s))
+        self.entries.iter().map(|(k, f)| (k, f.state))
+    }
+
+    /// Can `other` be folded into `self` by [`SymFs::join`]? True when
+    /// both know the same locations and agree on whether each exists;
+    /// node kinds and origins may differ. Costs the divergence of the
+    /// two heaps, not their size (shared subtrees are skipped).
+    pub fn joinable(&self, other: &SymFs) -> bool {
+        self.entries
+            .matches_by(&other.entries, |a, b| a.state.exists() == b.state.exists())
+    }
+
+    /// Joins a [`SymFs::joinable`] heap into this one: a location whose
+    /// kinds differ becomes [`NodeState::Exists`], and a fact stays
+    /// assumed only if it was assumed on both sides (so a state the
+    /// script caused on either path still counts as its own doing).
+    pub fn join(&mut self, other: &SymFs) {
+        self.entries.join_with(&other.entries, |a, b| Fact {
+            state: if a.state == b.state {
+                a.state
+            } else {
+                NodeState::Exists
+            },
+            assumed: a.assumed && b.assumed,
+        });
+    }
+}
+
+fn key_hash(key: &FsKey) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = shoal_obs::hash::FxHasher::default();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// One location's contribution to [`SymFs::shape`] (a splitmix64
+/// finalizer, so XOR-ing contributions does not cancel structure).
+fn shape_bit(key_hash: u64, exists: bool) -> u64 {
+    let mut z = key_hash.wrapping_add(if exists { 0x9e37_79b9_7f4a_7c15 } else { 0 });
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+impl Fact {
+    fn assumed(state: NodeState) -> Fact {
+        Fact {
+            state,
+            assumed: true,
+        }
+    }
+
+    fn effect(state: NodeState) -> Fact {
+        Fact {
+            state,
+            assumed: false,
+        }
     }
 }
 
@@ -412,12 +514,71 @@ mod tests {
     }
 
     #[test]
-    fn assumptions_recorded_in_order() {
+    fn origin_bit_tracks_assumptions_and_effects() {
         let mut fs = SymFs::new();
+        // Requiring an unknown node assumes it and its directory chain.
         fs.require(&key("/a/b"), NodeState::File);
-        let keys: Vec<String> = fs.assumptions().map(|(k, _)| k.to_string()).collect();
-        assert!(keys.contains(&"/a/b".to_string()));
-        assert!(keys.contains(&"/a".to_string()));
+        assert!(fs.determined_by_assumption(&key("/a/b")));
+        assert!(fs.determined_by_assumption(&key("/a")));
+        // Derived knowledge inherits the origin of the forcing fact.
+        assert!(fs.determined_by_assumption(&key("/a/b/c")));
+        // Effects clear the bit.
+        fs.create_dir(&key("/d"));
+        assert!(!fs.determined_by_assumption(&key("/d")));
+        // A requirement that narrows a known state is an assumption,
+        // even when the coarser state came from an effect.
+        fs.set(&key("/e"), NodeState::Exists);
+        assert!(!fs.determined_by_assumption(&key("/e")));
+        assert_eq!(fs.require(&key("/e"), NodeState::Dir), Require::Satisfied);
+        assert!(fs.determined_by_assumption(&key("/e")));
+        // A satisfied requirement that narrows nothing keeps the origin.
+        assert_eq!(
+            fs.require(&key("/d"), NodeState::Exists),
+            Require::Satisfied
+        );
+        assert!(!fs.determined_by_assumption(&key("/d")));
+        // Effect after assumption: the effect determines the state.
+        fs.delete_tree(&key("/a/b"));
+        assert!(!fs.determined_by_assumption(&key("/a/b")));
+    }
+
+    #[test]
+    fn join_widens_kinds_and_keeps_assumed_only_when_both_assumed() {
+        let mut base = SymFs::new();
+        base.require(&key("/w"), NodeState::Dir);
+        let mut a = base.clone();
+        let mut b = base.clone();
+        a.require(&key("/w/f"), NodeState::Exists);
+        b.create_file(&key("/w/f"));
+        assert!(a.joinable(&b));
+        a.join(&b);
+        assert_eq!(a.lookup(&key("/w/f")), Some(NodeState::Exists));
+        assert!(
+            !a.determined_by_assumption(&key("/w/f")),
+            "an effect on one side wins"
+        );
+        assert!(
+            a.determined_by_assumption(&key("/w")),
+            "assumed on both sides"
+        );
+        assert_eq!(a.shape(), b.shape(), "joinable heaps share a shape");
+        // Existence must agree, and so must the key set.
+        let mut gone = base.clone();
+        gone.delete_tree(&key("/w/f"));
+        assert!(!b.joinable(&gone));
+        assert!(!base.joinable(&b));
+        assert_ne!(b.shape(), gone.shape());
+        assert_ne!(base.shape(), b.shape());
+        // The shape depends on the facts, not on how they were reached.
+        let mut c = SymFs::new();
+        c.create_file(&key("/w/f"));
+        c.create_file(&key("/w/g"));
+        c.delete_tree(&key("/w/g"));
+        let mut d = SymFs::new();
+        d.require(&key("/w/g"), NodeState::Absent);
+        d.require(&key("/w/f"), NodeState::File);
+        assert!(c.joinable(&d));
+        assert_eq!(c.shape(), d.shape());
     }
 
     #[test]

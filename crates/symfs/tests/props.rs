@@ -207,3 +207,64 @@ fn delete_tree_erases_subtree() {
         assert_eq!(fs.lookup(&child), Some(NodeState::Absent));
     });
 }
+
+#[test]
+fn join_over_approximates_both_sides() {
+    use std::cell::Cell;
+    let joined_cases = Cell::new(0u32);
+    run_cases("join_over_approximates_both_sides", 512, |g| {
+        let mut base = SymFs::new();
+        for o in &g.vec_of(0..10, op) {
+            apply(&mut base, o);
+        }
+        let (mut a, mut b) = (base.clone(), base);
+        for o in &g.vec_of(0..3, op) {
+            apply(&mut a, o);
+        }
+        for o in &g.vec_of(0..3, op) {
+            apply(&mut b, o);
+        }
+        if !a.joinable(&b) {
+            return;
+        }
+        joined_cases.set(joined_cases.get() + 1);
+        assert_eq!(a.shape(), b.shape(), "joinable heaps share a shape");
+        let mut j = a.clone();
+        j.join(&b);
+        assert_eq!(j.shape(), a.shape(), "a join changes no existence");
+        // Every fact of the join holds on both sides, possibly less
+        // precisely (a differing kind widens to Exists).
+        let holds = |joined: NodeState, side: Option<NodeState>| match side {
+            Some(s) => s == joined || (joined == NodeState::Exists && s.exists()),
+            None => false,
+        };
+        for comps in 1..=3 {
+            for path in (0..3usize.pow(comps)).map(|mut n| {
+                let mut p = String::new();
+                for _ in 0..comps {
+                    p.push('/');
+                    p.push(['a', 'b', 'c'][n % 3]);
+                    n /= 3;
+                }
+                p
+            }) {
+                let k = FsKey::absolute(&path).expect("absolute");
+                if let Some(s) = j.lookup(&k) {
+                    let (left, right) = (a.lookup(&k), b.lookup(&k));
+                    assert!(holds(s, left), "{k}: join {s}, left {left:?}");
+                    assert!(holds(s, right), "{k}: join {s}, right {right:?}");
+                }
+            }
+        }
+        // A recorded fact stays assumed only if both sides assumed it.
+        for (k, _) in j.entries() {
+            assert_eq!(
+                j.determined_by_assumption(k),
+                a.determined_by_assumption(k) && b.determined_by_assumption(k),
+                "{k}"
+            );
+        }
+    });
+    let joined = joined_cases.get();
+    assert!(joined > 50, "only {joined} joinable cases");
+}
