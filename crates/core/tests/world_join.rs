@@ -131,6 +131,32 @@ fn refined_assumption_is_not_blamed_on_the_script() {
 }
 
 #[test]
+fn directory_implied_by_an_assumed_child_is_an_assumption() {
+    // On the path where `cat /a/b/c` succeeds, `/a` is a directory
+    // because the initial world had `/a/b/c`; the script did nothing to
+    // `/a`, so `cat /a` failing there is no always-fails finding. The
+    // deletion of `/a/b` does not make `/a` unknown either, so no path
+    // has `/a` a file next to an existing `/a/b`.
+    let report = analyze("cat /a/b/c\ncat /a\n");
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    let report = analyze("cat /a/b/c\nrm -rf /a/b\ncat /a\n");
+    assert!(!report.has(DiagCode::AlwaysFails), "{:?}", report.diagnostics);
+    assert_eq!(report.terminal_worlds, 4);
+}
+
+#[test]
+fn paths_that_learn_directories_in_different_orders_join() {
+    // `wc` forks on whether the log exists. Where it does, `/tmp/work`
+    // became a directory before `mkdir -p`; where it does not, `mkdir
+    // -p` made it one. After the append both paths know the same
+    // facts and must be one path, whatever order they learned them in.
+    let src = "wc -l /tmp/work/log\nmkdir -p /tmp/work\necho done >> /tmp/work/log\n";
+    let report = analyze(src);
+    assert_eq!(report.terminal_worlds, 1, "{:?}", report.world_tree);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+}
+
+#[test]
 fn always_fails_survives_the_join_of_its_two_worlds() {
     // One world deletes `$1`, the other assumed it never existed; after
     // the `if` both have `$1` absent and join. The deletion is an

@@ -227,11 +227,23 @@ impl SymFs {
         }
     }
 
-    /// Ancestors of an existing node must be directories.
+    /// Ancestors of an existing node must be directories. Every
+    /// ancestor ends up with an entry of its own, even one that was
+    /// already a directory only because a known child exists: which
+    /// locations have entries then does not depend on the order in
+    /// which their descendants became known (two paths that learned
+    /// the same facts in different orders stay [`SymFs::joinable`]),
+    /// and the knowledge survives the deletion of that child.
     fn require_ancestors(&mut self, key: &FsKey) -> Require {
         for anc in key.proper_ancestors() {
+            if let Some(Fact {
+                state: NodeState::Dir,
+                ..
+            }) = self.entries.get(&anc)
+            {
+                continue;
+            }
             match self.lookup(&anc) {
-                Some(NodeState::Dir) => {}
                 Some(other) if other.compatible(NodeState::Dir) => {
                     self.put(anc, Fact::assumed(NodeState::Dir));
                 }
@@ -540,6 +552,26 @@ mod tests {
         // Effect after assumption: the effect determines the state.
         fs.delete_tree(&key("/a/b"));
         assert!(!fs.determined_by_assumption(&key("/a/b")));
+    }
+
+    #[test]
+    fn ancestor_entries_do_not_depend_on_learning_order() {
+        // The same two facts, learned in either order.
+        let mut a = SymFs::new();
+        a.require(&key("/a/b"), NodeState::Dir);
+        a.require(&key("/a/b/c"), NodeState::File);
+        let mut b = SymFs::new();
+        b.require(&key("/a/b/c"), NodeState::File);
+        b.require(&key("/a/b"), NodeState::Dir);
+        assert_eq!(a.shape(), b.shape());
+        assert!(a.joinable(&b) && b.joinable(&a));
+        assert_eq!(a.entries().count(), b.entries().count());
+        // `/a` keeps an entry of its own: deleting the child that
+        // forced it to be a directory does not make it unknown, and it
+        // stays an assumption about the initial world.
+        b.delete_tree(&key("/a/b"));
+        assert_eq!(b.lookup(&key("/a")), Some(NodeState::Dir));
+        assert!(b.determined_by_assumption(&key("/a")));
     }
 
     #[test]
