@@ -1337,6 +1337,7 @@ fn emit_world_trees(
 fn render_profile(path: &str, p: &shoal_core::ProfileReport) -> String {
     let rows = vec![
         ("parse".to_string(), format!("{} µs", p.parse_us)),
+        ("setup".to_string(), format!("{} µs", p.setup_us)),
         ("exec".to_string(), format!("{} µs", p.exec_us)),
         ("idempotence".to_string(), format!("{} µs", p.idempotence_us)),
         ("report".to_string(), format!("{} µs", p.report_us)),

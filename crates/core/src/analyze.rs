@@ -171,8 +171,21 @@ pub fn analyze_script_annotated(
     opts: AnalysisOptions,
     annotations: crate::annotations::Annotations,
 ) -> AnalysisReport {
+    analyze_timed(script, opts, annotations, Instant::now())
+}
+
+/// [`analyze_script_annotated`] with the setup clock started at
+/// `t_setup`, so a caller that parsed the annotations itself charges
+/// that work to [`ProfileReport::setup_us`] too.
+pub(crate) fn analyze_timed(
+    script: &Script,
+    opts: AnalysisOptions,
+    annotations: crate::annotations::Annotations,
+    t_setup: Instant,
+) -> AnalysisReport {
     let (engine, initial) = prologue(opts, annotations);
     let t_start = Instant::now();
+    let setup_us = (t_start - t_setup).as_micros() as u64;
     let worlds = {
         let _span = shoal_obs::span!("exec_items");
         engine.exec_items(vec![initial], &script.items)
@@ -183,7 +196,7 @@ pub fn analyze_script_annotated(
     // so finalization can surface it (the incremental engine instead
     // drains per statement and accumulates across replays).
     let approx = shoal_relang::take_approx_hits();
-    finalize(&engine, worlds, approx, t_start, exec_us)
+    finalize(&engine, worlds, approx, setup_us, t_start, exec_us)
 }
 
 /// Sets up one analysis: clears stale thread-local approximation
@@ -220,11 +233,13 @@ pub(crate) fn prologue(
 /// cold and incremental paths, which is what makes the incremental
 /// engine's byte-identity guarantee hold by construction: once the
 /// world set, tree, stats, audit state, and approximation events agree,
-/// the rendered report must too.
+/// the rendered report must too. `setup_us` is everything before
+/// `t_start`, when execution began.
 pub(crate) fn finalize(
     engine: &Engine,
     mut worlds: Vec<World>,
     approx: Vec<shoal_relang::ApproxReason>,
+    setup_us: u64,
     t_start: Instant,
     exec_us: u64,
 ) -> AnalysisReport {
@@ -232,6 +247,7 @@ pub(crate) fn finalize(
     // Request-scoped tracing (the daemon's telemetry plane): charge
     // the already-measured durations to the active trace, if any —
     // no extra clock reads, one thread-local check when disabled.
+    shoal_obs::trace::phase_add("setup", setup_us);
     shoal_obs::trace::phase_add("symexec", exec_us);
     let t_idem = Instant::now();
     // Idempotence pass (§4, CoLiS criterion): a path succeeded only
@@ -347,10 +363,11 @@ pub(crate) fn finalize(
     shoal_obs::counter_add("analyze.runs", 1);
     let profile = opts_profile.then(|| ProfileReport {
         parse_us: 0,
+        setup_us,
         exec_us,
         idempotence_us,
         report_us,
-        total_us: t_start.elapsed().as_micros() as u64,
+        total_us: setup_us + t_start.elapsed().as_micros() as u64,
         peak_live_worlds: peak_live,
         forks: stats.forks.get(),
         worlds_pruned: stats.pruned.get(),
@@ -420,12 +437,13 @@ pub fn analyze_source_with(src: &str, opts: AnalysisOptions) -> Result<AnalysisR
         }
         report
     };
+    let t_setup = Instant::now();
     match crate::annotations::parse_annotations(src) {
-        Ok(annotations) => Ok(attach_parse(analyze_script_annotated(&script, opts, annotations))),
+        Ok(annotations) => Ok(attach_parse(analyze_timed(&script, opts, annotations, t_setup))),
         Err(e) => {
             // A malformed annotation must not hide the analysis; report
             // it as a note and continue un-annotated.
-            let mut report = analyze_script(&script, opts);
+            let mut report = analyze_timed(&script, opts, Default::default(), t_setup);
             report.diagnostics.insert(
                 0,
                 Diagnostic::new(
@@ -454,8 +472,9 @@ pub fn analyze_source_resilient(src: &str, opts: AnalysisOptions) -> AnalysisRep
     };
     let parse_us = t_parse.elapsed().as_micros() as u64;
     shoal_obs::trace::phase_add("parse", parse_us);
+    let t_setup = Instant::now();
     let annotations = crate::annotations::parse_annotations(src).unwrap_or_default();
-    let mut report = analyze_script_annotated(&recovered.script, opts, annotations);
+    let mut report = analyze_timed(&recovered.script, opts, annotations, t_setup);
     if let Some(p) = report.profile.as_mut() {
         p.parse_us = parse_us;
         p.total_us += parse_us;

@@ -68,10 +68,7 @@ impl Annotations {
 ///
 /// Returns the first malformed annotation with its line number.
 pub fn parse_annotations(src: &str) -> Result<Annotations, AnnotationError> {
-    let mut out = Annotations {
-        aliases: TypeAliases::builtin(),
-        ..Annotations::default()
-    };
+    let mut out = Annotations::default();
     for (lineno, line) in src.lines().enumerate() {
         let lineno = lineno as u32 + 1;
         let Some(at) = line.find("#@") else { continue };

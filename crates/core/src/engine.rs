@@ -670,7 +670,7 @@ impl Engine {
             Command::Case(clause, _, span) => self.exec_case(world, clause, *span),
             Command::FunctionDef { name, body, .. } => {
                 let mut w = world;
-                w.functions.insert(name.clone(), Arc::new((**body).clone()));
+                w.functions.insert(name.clone(), Arc::clone(body));
                 w.last_exit = ExitStatus::Zero;
                 vec![w]
             }

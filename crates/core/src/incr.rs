@@ -206,10 +206,11 @@ impl IncrSession {
             }
             report
         };
+        let t_setup = Instant::now();
         match crate::annotations::parse_annotations(src) {
-            Ok(annotations) => Ok(attach_parse(self.run(src, &script, annotations))),
+            Ok(annotations) => Ok(attach_parse(self.run(src, &script, annotations, t_setup))),
             Err(e) => {
-                let mut report = self.run(src, &script, Annotations::default());
+                let mut report = self.run(src, &script, Annotations::default(), t_setup);
                 report.diagnostics.insert(
                     0,
                     Diagnostic::new(
@@ -226,8 +227,16 @@ impl IncrSession {
 
     /// The incremental engine proper: chain walk, frontier
     /// materialization (with relocation), dirty-suffix execution,
-    /// summary recording, shared finalization.
-    fn run(&mut self, src: &str, script: &Script, annotations: Annotations) -> AnalysisReport {
+    /// summary recording, shared finalization. Setup, charged from
+    /// `t_setup` to the first executed statement, includes the
+    /// statement digests, the chain walk and the frontier restore.
+    fn run(
+        &mut self,
+        src: &str,
+        script: &Script,
+        annotations: Annotations,
+        t_setup: Instant,
+    ) -> AnalysisReport {
         self.generation += 1;
         self.stats.runs += 1;
         shoal_obs::counter_add("incr.runs", 1);
@@ -239,11 +248,7 @@ impl IncrSession {
             self.stats.last_replayed = 0;
             self.stats.last_executed = script.items.len();
             shoal_obs::counter_add("incr.fallback_full", 1);
-            return crate::analyze::analyze_script_annotated(
-                script,
-                self.opts.clone(),
-                annotations,
-            );
+            return crate::analyze::analyze_timed(script, self.opts.clone(), annotations, t_setup);
         }
 
         let infos: Vec<StmtInfo> = script
@@ -358,6 +363,7 @@ impl IncrSession {
         // Execute the dirty suffix, recording a summary per statement.
         let executed = infos.len() - replayed;
         let t_start = Instant::now();
+        let setup_us = (t_start - t_setup).as_micros() as u64;
         {
             let _span = shoal_obs::span!("exec_items");
             for (info, item) in infos[replayed..].iter().zip(&script.items[replayed..]) {
@@ -414,7 +420,7 @@ impl IncrSession {
             summaries = self.summaries.len()
         );
         self.evict();
-        finalize(&engine, worlds, approx, t_start, exec_us)
+        finalize(&engine, worlds, approx, setup_us, t_start, exec_us)
     }
 
     /// Drops summaries not hit for [`KEEP_GENERATIONS`] analyses once

@@ -146,6 +146,9 @@ impl EngineStats {
 pub struct ProfileReport {
     /// Parsing time (µs); 0 when analysis started from an AST.
     pub parse_us: u64,
+    /// Setup time (µs): annotations, engine and initial world — every
+    /// cost paid before the first statement runs.
+    pub setup_us: u64,
     /// Symbolic execution time (µs).
     pub exec_us: u64,
     /// Idempotence-pass time (µs).

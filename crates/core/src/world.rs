@@ -355,9 +355,11 @@ impl World {
     /// Can `other` be folded into this world at a statement boundary?
     /// Everything the rest of the script can observe must be equal —
     /// variables, parameters, `$0`, cwd, exit status, halt and capture
-    /// state, call depth, symbol bases and function bodies (by
-    /// pointer) — and the two heaps must be [`SymFs::joinable`]. The
-    /// trail and the findings may differ.
+    /// state, call depth, symbol bases and function bodies (`Arc`
+    /// equality tries the pointer first, then the value, so a body
+    /// from an older parse restored by incremental replay joins as it
+    /// would cold) — and the two heaps must be [`SymFs::joinable`].
+    /// The trail and the findings may differ.
     pub fn joinable(&self, other: &World) -> bool {
         self.last_exit == other.last_exit
             && self.halted == other.halted
@@ -369,13 +371,7 @@ impl World {
             && self.positional == other.positional
             && self.lazy_positional == other.lazy_positional
             && self.sym_bases == other.sym_bases
-            && (self.functions.ptr_eq(&other.functions)
-                || (self.functions.len() == other.functions.len()
-                    && self
-                        .functions
-                        .iter()
-                        .zip(other.functions.iter())
-                        .all(|((ka, va), (kb, vb))| ka == kb && Arc::ptr_eq(va, vb))))
+            && self.functions == other.functions
             && self.fs.joinable(&other.fs)
     }
 

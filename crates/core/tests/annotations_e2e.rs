@@ -3,7 +3,7 @@
 //! provably safe with them — with zero impact on how any real shell
 //! executes it.
 
-use shoal_core::{analyze_source, DiagCode};
+use shoal_core::{analyze_source, parse_annotations, DiagCode};
 
 #[test]
 fn var_annotation_discharges_danger() {
@@ -76,4 +76,25 @@ fn annotations_do_not_change_executability() {
     let src = "#@ var X : hex\necho \"$X\"\n";
     let ast = shoal_shparse::parse_script(src).unwrap();
     assert_eq!(ast.items.len(), 1);
+}
+
+#[test]
+fn type_definitions_stay_with_their_script() {
+    // The alias table is shared between analyses until a script
+    // defines a type; that definition must not leak into the next
+    // script's table.
+    let first = parse_annotations("#@ type version = [0-9]+\\.[0-9]+\\.[0-9]+\n").unwrap();
+    assert!(first.aliases.names().contains(&"version"));
+    assert!(first.aliases.resolve("version").unwrap().matches(b"1.2.3"));
+
+    let second = parse_annotations("#!/bin/sh\necho hi\n").unwrap();
+    assert!(!second.aliases.names().contains(&"version"));
+    // Not an alias, so `version` is read as a literal pattern.
+    let literal = second.aliases.resolve("version").unwrap();
+    assert!(literal.matches(b"version"));
+    assert!(!literal.matches(b"1.2.3"));
+    assert_eq!(
+        second.aliases.names(),
+        shoal_streamty::TypeAliases::builtin().names()
+    );
 }

@@ -158,3 +158,33 @@ fn profile_is_opt_in_and_timed() {
     assert!(p.total_us >= p.exec_us);
     assert!(p.total_us >= p.parse_us);
 }
+
+#[test]
+fn profile_phases_fit_in_total_on_every_path() {
+    // Setup (annotations, engine, initial world) is charged, so the
+    // phases account for the whole run instead of leaving the prologue
+    // outside every clock — on the cold, resilient and incremental
+    // paths alike.
+    let opts = AnalysisOptions {
+        profile: true,
+        ..AnalysisOptions::default()
+    };
+    let incremental = AnalysisOptions {
+        incremental: true,
+        ..opts.clone()
+    };
+    let reports = [
+        ("cold", analyze_source_with(figures::FIG1, opts.clone()).unwrap()),
+        ("resilient", shoal_core::analyze_source_resilient(figures::FIG1, opts)),
+        ("incremental", analyze_source_with(figures::FIG1, incremental).unwrap()),
+    ];
+    for (path, report) in reports {
+        let p = report.profile.expect("profile requested");
+        let phases = p.parse_us + p.setup_us + p.exec_us + p.idempotence_us + p.report_us;
+        assert!(
+            phases <= p.total_us,
+            "{path}: phases {phases} µs > total {} µs ({p:?})",
+            p.total_us
+        );
+    }
+}

@@ -8,6 +8,8 @@
 use shoal_core::{analyze_source_with, AnalysisOptions, AnalysisReport, DiagCode};
 use shoal_corpus::{figures, scale};
 use shoal_obs::audit::LossCause;
+use shoal_shparse::{parse_script, Command, Script};
+use std::sync::Arc;
 
 fn analyze(src: &str) -> AnalysisReport {
     analyze_source_with(
@@ -172,4 +174,39 @@ fn always_fails_survives_the_join_of_its_two_worlds() {
     let p = report.profile.as_ref().expect("profile requested");
     assert!(p.merged >= 1, "the two branches of the if must join");
     assert_eq!(report.terminal_worlds, 1);
+}
+
+#[test]
+fn defining_a_function_does_not_block_the_join() {
+    // Both paths of the `if` define `f` after it. The definition must
+    // not give each path its own copy of the body: the paths are the
+    // same state and join, exactly as they do without the `f()` line.
+    let without = analyze("if [ -e /a ]; then echo yes; fi\nrm -rf /a\n");
+    let with = analyze("if [ -e /a ]; then echo yes; fi\nf() { echo hi; }\nrm -rf /a\n");
+    for report in [&without, &with] {
+        let p = report.profile.as_ref().expect("profile requested");
+        assert_eq!(report.terminal_worlds, 1, "{:?}", report.world_tree);
+        assert_eq!(p.merged, 1);
+    }
+}
+
+#[test]
+fn a_function_body_equal_by_value_joins() {
+    // Two worlds define `f` from separate parses of the same text (as
+    // incremental replay restores bodies from an older parse): the
+    // bodies are different allocations but the same program, so the
+    // worlds join.
+    let body = |s: &Script| match &s.items[0].and_or.first.commands[0] {
+        Command::FunctionDef { body, .. } => Arc::clone(body),
+        other => panic!("not a function definition: {other:?}"),
+    };
+    let a = parse_script("f() { echo hi; }\n").expect("parses");
+    let b = parse_script("f() { echo hi; }\n").expect("parses");
+    let (ba, bb) = (body(&a), body(&b));
+    assert!(!Arc::ptr_eq(&ba, &bb));
+    let mut wa = shoal_core::World::initial();
+    let mut wb = wa.clone();
+    wa.functions.insert("f".into(), ba);
+    wb.functions.insert("f".into(), bb);
+    assert!(wa.joinable(&wb));
 }

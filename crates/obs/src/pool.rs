@@ -110,158 +110,6 @@ where
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Persistent pool (the JIT daemon's request executor)
-// ---------------------------------------------------------------------
-
-/// A boxed unit of work for [`TaskPool`].
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct TaskPoolShared {
-    /// One queue per worker; submissions round-robin, idle workers
-    /// steal from the back of the fullest sibling (same discipline as
-    /// [`map_indexed`]).
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Sleep/wake coordination: `idle` guards nothing but pairs with
-    /// the condvar; workers re-scan all queues after every wake.
-    idle: Mutex<bool>,
-    wake: std::sync::Condvar,
-    shutdown: std::sync::atomic::AtomicBool,
-}
-
-/// A persistent work-stealing thread pool for dynamically arriving
-/// tasks — the long-lived sibling of [`map_indexed`] (which fans out a
-/// fixed batch and joins). The JIT daemon submits one job per accepted
-/// connection; worker threads live for the pool's lifetime.
-///
-/// Dropping the pool signals shutdown, wakes every worker, and joins
-/// them; jobs already queued are still drained first, so a daemon that
-/// stops with requests in flight answers all of them.
-pub struct TaskPool {
-    shared: std::sync::Arc<TaskPoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    next: std::sync::atomic::AtomicUsize,
-}
-
-impl TaskPool {
-    /// Spawns a pool with `jobs` worker threads (`0` = available
-    /// parallelism, minimum 1).
-    pub fn new(jobs: usize) -> TaskPool {
-        let jobs = if jobs == 0 {
-            available_parallelism()
-        } else {
-            jobs
-        }
-        .max(1);
-        let shared = std::sync::Arc::new(TaskPoolShared {
-            queues: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(false),
-            wake: std::sync::Condvar::new(),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-        });
-        let workers = (0..jobs)
-            .map(|me| {
-                let shared = std::sync::Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, me))
-            })
-            .collect();
-        TaskPool {
-            shared,
-            workers,
-            next: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.shared.queues.len()
-    }
-
-    /// Enqueues one job (round-robin over worker queues) and wakes a
-    /// worker. Jobs submitted after shutdown began are silently
-    /// dropped (the daemon only shuts down after it stops accepting).
-    pub fn submit(&self, job: Job) {
-        if self.shared.shutdown.load(std::sync::atomic::Ordering::Acquire) {
-            return;
-        }
-        let w = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            % self.shared.queues.len();
-        self.shared.queues[w]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(job);
-        crate::counter_add("pool.tasks", 1);
-        let _guard = self.shared.idle.lock().unwrap_or_else(|e| e.into_inner());
-        self.shared.wake.notify_one();
-    }
-}
-
-impl Drop for TaskPool {
-    fn drop(&mut self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
-        {
-            let _guard = self.shared.idle.lock().unwrap_or_else(|e| e.into_inner());
-            self.shared.wake.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &TaskPoolShared, me: usize) {
-    loop {
-        // Own queue first, then steal from the fullest sibling.
-        let job = {
-            let own = shared.queues[me]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
-            match own {
-                Some(j) => Some(j),
-                None => steal_job(&shared.queues, me).inspect(|_| {
-                    crate::counter_add("pool.steals", 1);
-                }),
-            }
-        };
-        match job {
-            Some(job) => job(),
-            None => {
-                if shared.shutdown.load(std::sync::atomic::Ordering::Acquire) {
-                    return;
-                }
-                // Park until a submit or shutdown; the timeout guards
-                // against a lost wakeup racing the empty-queue scan.
-                let guard = shared.idle.lock().unwrap_or_else(|e| e.into_inner());
-                let _ = shared
-                    .wake
-                    .wait_timeout(guard, std::time::Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Steals one job from the sibling with the longest queue.
-fn steal_job(queues: &[Mutex<VecDeque<Job>>], me: usize) -> Option<Job> {
-    let mut best: Option<(usize, usize)> = None;
-    for (w, q) in queues.iter().enumerate() {
-        if w == me {
-            continue;
-        }
-        let len = q.lock().unwrap_or_else(|e| e.into_inner()).len();
-        if len > 0 && best.map(|(_, l)| len > l).unwrap_or(true) {
-            best = Some((w, len));
-        }
-    }
-    let (victim, _) = best?;
-    queues[victim]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_back()
-}
-
 /// Steals one task from the sibling with the longest queue.
 fn steal(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
     // Pick the currently longest victim queue so repeated steals spread
@@ -319,35 +167,6 @@ mod tests {
         let items: Vec<u8> = (0..10).collect();
         assert_eq!(map_indexed(1, &items, |_, &x| x), items);
         assert_eq!(map_indexed(0, &items, |_, &x| x), items);
-    }
-
-    #[test]
-    fn task_pool_runs_every_submitted_job() {
-        let pool = TaskPool::new(4);
-        let counter = std::sync::Arc::new(AtomicUsize::new(0));
-        for _ in 0..200 {
-            let c = std::sync::Arc::clone(&counter);
-            pool.submit(Box::new(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        drop(pool); // joins workers; queued jobs drain first
-        assert_eq!(counter.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn task_pool_drains_queue_on_drop_even_with_slow_jobs() {
-        let pool = TaskPool::new(2);
-        let counter = std::sync::Arc::new(AtomicUsize::new(0));
-        for _ in 0..16 {
-            let c = std::sync::Arc::clone(&counter);
-            pool.submit(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                c.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        drop(pool);
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! double quotes.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A half-open byte range into the source, with a 1-based starting line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -152,8 +153,9 @@ pub enum Command {
     FunctionDef {
         /// Function name.
         name: String,
-        /// Function body (usually a brace group).
-        body: Box<Command>,
+        /// Function body (usually a brace group), shared: every world
+        /// that defines the function holds the same allocation.
+        body: Arc<Command>,
         /// Definition site.
         span: Span,
     },

@@ -497,7 +497,7 @@ impl<'a> Parser<'a> {
                     }
                     self.cur.bump(); // `)`
                     self.skip_linebreaks()?;
-                    let body = Box::new(self.parse_command()?);
+                    let body = std::sync::Arc::new(self.parse_command()?);
                     let span = self.cur.span_from(start, line);
                     return Ok(Command::FunctionDef { name, body, span });
                 }

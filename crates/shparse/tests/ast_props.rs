@@ -214,7 +214,7 @@ fn command(g: &mut Gen, depth: usize) -> Command {
             let body = command(g, depth - 1);
             Command::FunctionDef {
                 name,
-                body: Box::new(Command::BraceGroup(
+                body: std::sync::Arc::new(Command::BraceGroup(
                     vec![item_of(body)],
                     Vec::new(),
                     Span::default(),

@@ -17,12 +17,29 @@
 use crate::hoare::{CommandSpec, Cond, Effect, ExitSpec, Guard, NodeReq, SpecCase, EACH, REST};
 use crate::syntax::{ArgKind, CmdSyntax};
 use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock};
 
 /// The queryable spec library.
+///
+/// A copy-on-write value: clones share one map, and [`Self::insert`]
+/// copies it first if another clone still holds it. Every
+/// [`Self::builtin`] call hands out the same process-wide build, so an
+/// analysis pays a refcount bump for it, not a rebuild; a caller that
+/// customizes its library (mined specs in place of hand-written ones)
+/// gets a private copy and changes no other analysis.
 #[derive(Debug, Clone, Default)]
 pub struct SpecLibrary {
-    specs: BTreeMap<String, CommandSpec>,
+    specs: Arc<BTreeMap<String, CommandSpec>>,
 }
+
+/// The built-in library, built on first use.
+static BUILTIN: LazyLock<SpecLibrary> = LazyLock::new(|| {
+    let mut lib = SpecLibrary::new();
+    for spec in builtin_specs() {
+        lib.insert(spec);
+    }
+    lib
+});
 
 impl SpecLibrary {
     /// An empty library.
@@ -32,16 +49,12 @@ impl SpecLibrary {
 
     /// The built-in ground-truth library.
     pub fn builtin() -> SpecLibrary {
-        let mut lib = SpecLibrary::new();
-        for spec in builtin_specs() {
-            lib.insert(spec);
-        }
-        lib
+        BUILTIN.clone()
     }
 
-    /// Adds or replaces a spec.
+    /// Adds or replaces a spec (in this library only).
     pub fn insert(&mut self, spec: CommandSpec) {
-        self.specs.insert(spec.name().to_string(), spec);
+        Arc::make_mut(&mut self.specs).insert(spec.name().to_string(), spec);
     }
 
     /// Looks up a utility by name.
@@ -72,7 +85,7 @@ impl SpecLibrary {
     /// independent of insertion order.
     pub fn fingerprint(&self) -> u64 {
         let mut buf = String::new();
-        for (name, spec) in &self.specs {
+        for (name, spec) in self.specs.iter() {
             buf.push_str(name);
             buf.push('\0');
             buf.push_str(&crate::text::render_spec(spec));
@@ -789,7 +802,7 @@ mod tests {
         assert_eq!(fp, SpecLibrary::builtin().fingerprint(), "deterministic");
         // Any spec change must move the fingerprint: drop one utility.
         let mut smaller = lib.clone();
-        smaller.specs.remove("rm");
+        Arc::make_mut(&mut smaller.specs).remove("rm");
         assert_ne!(fp, smaller.fingerprint());
         assert_ne!(SpecLibrary::new().fingerprint(), fp);
     }

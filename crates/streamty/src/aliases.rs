@@ -9,42 +9,55 @@
 
 use shoal_relang::Regex;
 use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock};
 
 /// An extensible alias table: name → line type.
+///
+/// A copy-on-write value: clones share one map, and [`Self::define`]
+/// copies it first if another clone still holds it. Every
+/// [`Self::builtin`] call hands out the same process-wide table, so
+/// its patterns are parsed once per process; a script's `#@ type`
+/// definitions land in a private copy and never leak into another
+/// analysis.
 #[derive(Debug, Clone)]
 pub struct TypeAliases {
-    map: BTreeMap<String, Regex>,
+    map: Arc<BTreeMap<String, Regex>>,
 }
+
+/// The built-in table, built on first use.
+static BUILTIN: LazyLock<TypeAliases> = LazyLock::new(|| {
+    let mut map = BTreeMap::new();
+    let mut put = |name: &str, pat: &str| {
+        map.insert(
+            name.to_string(),
+            Regex::parse(pat).unwrap_or_else(|e| panic!("builtin alias {name}: {e}")),
+        );
+    };
+    put("any", ".*");
+    put("empty", "");
+    put("word", "[^ \t]+");
+    put("num", "[-+]?[0-9]+");
+    put("float", r"[-+]?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?");
+    put("hex", "[0-9a-f]+");
+    put("path", "/?([^/\n]+/)*[^/\n]+/?");
+    put("abspath", "/([^/\n]+(/[^/\n]+)*)?");
+    put("url", "(https?|ftp)://[^ \t]+");
+    put(
+        "longlist",
+        "[-dlbcps][-rwxsStT]{9} +[0-9]+ +[^ ]+ +[^ ]+ +[0-9]+ .*",
+    );
+    put("kv", "[^=\t ]+=.*");
+    put("tsv2", "[^\t]*\t[^\t]*");
+    put("csv", "[^,\n]*(,[^,\n]*)*");
+    put("ipv4", "[0-9]{1,3}(\\.[0-9]{1,3}){3}");
+    put("identifier", "[A-Za-z_][A-Za-z0-9_]*");
+    TypeAliases { map: Arc::new(map) }
+});
 
 impl TypeAliases {
     /// The built-in aliases from the paper plus common Unix line shapes.
     pub fn builtin() -> TypeAliases {
-        let mut map = BTreeMap::new();
-        let mut put = |name: &str, pat: &str| {
-            map.insert(
-                name.to_string(),
-                Regex::parse(pat).unwrap_or_else(|e| panic!("builtin alias {name}: {e}")),
-            );
-        };
-        put("any", ".*");
-        put("empty", "");
-        put("word", "[^ \t]+");
-        put("num", "[-+]?[0-9]+");
-        put("float", r"[-+]?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?");
-        put("hex", "[0-9a-f]+");
-        put("path", "/?([^/\n]+/)*[^/\n]+/?");
-        put("abspath", "/([^/\n]+(/[^/\n]+)*)?");
-        put("url", "(https?|ftp)://[^ \t]+");
-        put(
-            "longlist",
-            "[-dlbcps][-rwxsStT]{9} +[0-9]+ +[^ ]+ +[^ ]+ +[0-9]+ .*",
-        );
-        put("kv", "[^=\t ]+=.*");
-        put("tsv2", "[^\t]*\t[^\t]*");
-        put("csv", "[^,\n]*(,[^,\n]*)*");
-        put("ipv4", "[0-9]{1,3}(\\.[0-9]{1,3}){3}");
-        put("identifier", "[A-Za-z_][A-Za-z0-9_]*");
-        TypeAliases { map }
+        BUILTIN.clone()
     }
 
     /// Resolves a type expression: either an alias name or a raw ERE.
@@ -62,14 +75,14 @@ impl TypeAliases {
 
     /// Adds or replaces an alias (user `type` definitions).
     pub fn define(&mut self, name: &str, ty: Regex) {
-        self.map.insert(name.to_string(), ty);
+        Arc::make_mut(&mut self.map).insert(name.to_string(), ty);
     }
 
     /// `typeOf`: the most specific alias containing `ty`, if any —
     /// preferring narrower aliases so diagnostics say `hex`, not `any`.
     pub fn type_of(&self, ty: &Regex) -> Option<&str> {
         let mut best: Option<(&str, &Regex)> = None;
-        for (name, alias) in &self.map {
+        for (name, alias) in self.map.iter() {
             if ty.is_subset_of(alias) {
                 best = match best {
                     None => Some((name, alias)),

@@ -111,6 +111,31 @@ fn mined_specs_drive_the_engine() {
     assert!(found, "mined cat spec must still expose the contradiction");
 }
 
+/// Swapping a mined spec into one engine customizes that engine only:
+/// the shared built-in library, and every engine built after the swap,
+/// keep the hand-written spec.
+#[test]
+fn mined_spec_swap_stays_in_its_engine() {
+    use shoal::core::engine::Engine;
+    use shoal::spec::text::render_spec;
+
+    let ground = render_spec(SpecLibrary::builtin().get("cat").expect("cat has a spec"));
+    let builtin_fp = SpecLibrary::builtin().fingerprint();
+    let mined_cat = mine_command("cat").expect("cat is documented");
+    let mined = render_spec(&mined_cat);
+    assert_ne!(mined, ground, "the swap must be observable");
+
+    let mut engine = Engine::new(AnalysisOptions::default());
+    engine.specs.insert(mined_cat);
+    assert_eq!(render_spec(engine.specs.get("cat").unwrap()), mined);
+    assert_ne!(engine.specs.fingerprint(), builtin_fp);
+
+    let fresh = Engine::new(AnalysisOptions::default());
+    assert_eq!(render_spec(fresh.specs.get("cat").unwrap()), ground);
+    assert_eq!(render_spec(SpecLibrary::builtin().get("cat").unwrap()), ground);
+    assert_eq!(SpecLibrary::builtin().fingerprint(), builtin_fp);
+}
+
 /// Mining quality holds across the whole documented corpus.
 #[test]
 fn mining_accuracy_across_corpus() {
