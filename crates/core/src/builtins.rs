@@ -80,7 +80,7 @@ pub fn exec_builtin(
         "exit" => {
             let mut w = world;
             w.halted = true;
-            w.last_exit = match fields.first().and_then(|f| f.value().as_literal()) {
+            w.last_exit = match fields.first().and_then(|f| f.as_literal()) {
                 Some(code) if code == "0" => ExitStatus::Zero,
                 Some(_) => ExitStatus::NonZero,
                 None => w.last_exit,
@@ -91,7 +91,7 @@ pub fn exec_builtin(
         "test" | "[" => {
             let mut args: Vec<&Field> = fields.iter().collect();
             if name == "[" {
-                match args.last().map(|f| f.value().as_literal()) {
+                match args.last().map(|f| f.as_literal()) {
                     Some(Some(ref s)) if s == "]" => {
                         args.pop();
                     }
@@ -112,7 +112,7 @@ pub fn exec_builtin(
         "unset" => {
             let mut w = world;
             for f in fields {
-                if let Some(n) = f.value().as_literal() {
+                if let Some(n) = f.as_literal() {
                     w.vars.remove(&n);
                 }
             }
@@ -124,7 +124,7 @@ pub fn exec_builtin(
             let mut w = world;
             let n: usize = fields
                 .first()
-                .and_then(|f| f.value().as_literal())
+                .and_then(|f| f.as_literal())
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(1);
             // With the lazy-positional model the argument count is
@@ -136,7 +136,7 @@ pub fn exec_builtin(
         "read" => {
             let mut w = world;
             for f in fields {
-                if let Some(n) = f.value().as_literal() {
+                if let Some(n) = f.as_literal() {
                     if !n.starts_with('-') {
                         let v = w.fresh_sym(Regex::any_line(), &format!("read:{n}"));
                         w.set_var(&n, v);

@@ -13,7 +13,7 @@ use crate::analyze::AnalysisOptions;
 use crate::builtins::{exec_builtin, is_builtin};
 use crate::checkers::{classify_delete, delete_diag, is_platform_source};
 use crate::diag::{DiagCode, Diagnostic, Severity};
-use crate::expand::{expand_word, expand_word_single, Field};
+use crate::expand::{expand_word, expand_word_single, static_fields, static_value, Field};
 use crate::glob::{match_verdict, word_pattern_to_regex, MatchVerdict};
 use crate::provenance::{TrailKind, WorldId, WorldTree};
 use crate::stats::{CapReason, EngineStats};
@@ -21,16 +21,18 @@ use crate::value::{Seg, SymStr};
 use crate::world::{ExitStatus, World};
 use shoal_relang::Regex;
 use shoal_shparse::{
-    AndOr, AndOrOp, CaseClause, Command, ForClause, IfClause, ListItem, Pipeline, Script,
+    AndOr, AndOrOp, CaseClause, Command, ForClause, IfClause, ListItem, Pipeline, RedirOp, Script,
     SimpleCommand, Span, WhileClause,
 };
 use shoal_spec::hoare::{operand_indices, Cond, Effect, ExitSpec, NodeReq};
-use shoal_spec::{Invocation, SpecLibrary};
+use shoal_spec::{CommandSpec, Invocation, SpecCase, SpecLibrary};
 use shoal_streamty::pipeline::{check_pipeline, StageVerdict};
 use shoal_streamty::sig_for;
-use std::sync::Arc;
 use shoal_symfs::state::{NodeState, Require};
+use shoal_symfs::FsKey;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fuel/deadline accounting (interior-mutable like [`EngineStats`]).
@@ -476,24 +478,26 @@ impl Engine {
         current
     }
 
+    /// Runs a pipeline over live worlds (statements and `&&`/`||` keep
+    /// halted worlds away from it). A lone simple command runs over the
+    /// whole set at once; anything else runs world by world.
     fn exec_pipeline(&self, worlds: Vec<World>, pipe: &Pipeline) -> Vec<World> {
-        let mut out = Vec::new();
-        for world in worlds {
-            if world.halted {
-                out.push(world);
-                continue;
+        debug_assert!(worlds.iter().all(|w| !w.halted));
+        let mut out: Vec<World> = match pipe.commands.as_slice() {
+            [Command::Simple(sc)] => self.exec_simple(worlds, sc),
+            [cmd] => worlds
+                .into_iter()
+                .flat_map(|w| self.exec_command(w, cmd))
+                .collect(),
+            _ => worlds
+                .into_iter()
+                .flat_map(|w| self.exec_multi_stage(w, pipe))
+                .collect(),
+        };
+        if pipe.negated {
+            for w in out.iter_mut() {
+                w.last_exit = w.last_exit.negate();
             }
-            let mut results = if pipe.commands.len() == 1 {
-                self.exec_command(world, &pipe.commands[0])
-            } else {
-                self.exec_multi_stage(world, pipe)
-            };
-            if pipe.negated {
-                for w in results.iter_mut() {
-                    w.last_exit = w.last_exit.negate();
-                }
-            }
-            out.extend(results);
         }
         self.cap(out, pipe.span())
     }
@@ -660,7 +664,7 @@ impl Engine {
 
     fn exec_command(&self, world: World, cmd: &Command) -> Vec<World> {
         match cmd {
-            Command::Simple(sc) => self.exec_simple(world, sc),
+            Command::Simple(sc) => self.exec_simple(vec![world], sc),
             Command::BraceGroup(items, _, _) => self.exec_items(vec![world], items),
             Command::Subshell(items, _, _) => self.exec_subshell(world, items),
             Command::If(clause, _, span) => self.exec_if(vec![world], clause, *span),
@@ -1064,10 +1068,43 @@ impl Engine {
     // Simple commands
     // -----------------------------------------------------------------
 
-    fn exec_simple(&self, world: World, sc: &SimpleCommand) -> Vec<World> {
+    /// Runs a simple command over a live world set. What depends only
+    /// on the AST — static words, assignment values and redirect
+    /// targets, the command name and what it resolves to, and for a
+    /// spec'd command with static argv its invocation and cases — is
+    /// built once ([`SimplePlan`]). Each world then runs the rest alone
+    /// and in order, so world ids, symbols and counters come out as if
+    /// every world had run the whole command by itself.
+    fn exec_simple(&self, worlds: Vec<World>, sc: &SimpleCommand) -> Vec<World> {
+        if worlds.is_empty() {
+            return worlds;
+        }
+        let plan = SimplePlan::new(&self.specs, sc);
+        let mut out = Vec::new();
+        for world in worlds {
+            self.exec_simple_in(world, sc, &plan, &mut out);
+        }
+        out
+    }
+
+    /// The per-world part of [`Engine::exec_simple`].
+    fn exec_simple_in(
+        &self,
+        world: World,
+        sc: &SimpleCommand,
+        plan: &SimplePlan,
+        out: &mut Vec<World>,
+    ) {
         // 1. Assignments (values expand in the current world).
         let mut states = vec![world];
-        for assign in &sc.assignments {
+        for (assign, value) in sc.assignments.iter().zip(&plan.assigns) {
+            if let Some(v) = value {
+                // Static: nothing to expand, no empty-value provenance.
+                for w in states.iter_mut() {
+                    w.set_var(&assign.name, v.clone());
+                }
+                continue;
+            }
             let mut next = Vec::new();
             for w in states {
                 for (mut w2, v) in expand_word_single(self, w, &assign.value) {
@@ -1096,56 +1133,78 @@ impl Engine {
             states = next;
         }
         // 2. Words.
-        let mut expanded: Vec<(World, Vec<Field>)> =
-            states.into_iter().map(|w| (w, Vec::new())).collect();
-        for word in &sc.words {
-            let mut next = Vec::new();
-            for (w, fields) in expanded {
-                for (w2, fs) in expand_word(self, w, word) {
-                    let mut all = fields.clone();
-                    all.extend(fs);
-                    next.push((w2, all));
+        let mut expanded: Vec<(World, Cow<[Field]>)>;
+        match &plan.fields {
+            Some(fields) if !sc.words.is_empty() => {
+                // Static words never fork, so one truncation does the
+                // work of one per word.
+                expanded = states
+                    .into_iter()
+                    .map(|w| (w, Cow::Borrowed(&fields[..])))
+                    .collect();
+                expanded = self.truncate(expanded, sc.span, CapReason::Expansion, |p| &mut p.0);
+            }
+            _ => {
+                expanded = states
+                    .into_iter()
+                    .map(|w| (w, Cow::Owned(Vec::new())))
+                    .collect();
+                for (word, fixed) in sc.words.iter().zip(&plan.words) {
+                    match fixed {
+                        Some(fs) => {
+                            for (_, fields) in expanded.iter_mut() {
+                                fields.to_mut().extend_from_slice(fs);
+                            }
+                        }
+                        None => {
+                            let mut next = Vec::new();
+                            for (w, fields) in expanded {
+                                for (w2, fs) in expand_word(self, w, word) {
+                                    let mut all = fields.clone();
+                                    all.to_mut().extend(fs);
+                                    next.push((w2, all));
+                                }
+                            }
+                            expanded = next;
+                        }
+                    }
+                    expanded = self.truncate(expanded, sc.span, CapReason::Expansion, |p| &mut p.0);
                 }
             }
-            expanded = self.truncate(next, sc.span, CapReason::Expansion, |p| &mut p.0);
         }
         // 3. Redirections: output redirects create/truncate their
         // targets; input redirects require them.
-        let mut redirected: Vec<(World, Vec<Field>)> = Vec::new();
-        for (w, fields) in expanded {
-            let mut states = vec![w];
-            for redir in &sc.redirects {
-                use shoal_shparse::RedirOp;
-                let mut next = Vec::new();
-                for w2 in states {
-                    for (mut w3, target) in expand_word_single(self, w2, &redir.target) {
-                        match redir.op {
-                            RedirOp::Out
-                            | RedirOp::Append
-                            | RedirOp::Clobber
-                            | RedirOp::ReadWrite => {
-                                if let Some(k) = w3.fs_key(&target) {
-                                    let _ = w3.fs.create_file(&k);
+        if !sc.redirects.is_empty() {
+            let mut redirected = Vec::new();
+            for (w, fields) in expanded {
+                let mut states = vec![w];
+                for (redir, fixed) in sc.redirects.iter().zip(&plan.redirs) {
+                    let mut next = Vec::new();
+                    for mut w2 in states {
+                        match fixed {
+                            Some(target) => {
+                                redirect_effect(&mut w2, redir.op, target);
+                                next.push(w2);
+                            }
+                            None => {
+                                for (mut w3, target) in expand_word_single(self, w2, &redir.target)
+                                {
+                                    redirect_effect(&mut w3, redir.op, &PathArg::new(target));
+                                    next.push(w3);
                                 }
                             }
-                            RedirOp::In => {
-                                if let Some(k) = w3.fs_key(&target) {
-                                    let _ = w3.fs.require(&k, NodeState::File);
-                                }
-                            }
-                            _ => {}
                         }
-                        next.push(w3);
                     }
+                    states = next;
                 }
-                states = next;
+                for w2 in states {
+                    redirected.push((w2, fields.clone()));
+                }
             }
-            for w2 in states {
-                redirected.push((w2, fields.clone()));
-            }
+            expanded = redirected;
         }
-        let expanded = self.truncate(redirected, sc.span, CapReason::Expansion, |p| &mut p.0);
-        let mut out = Vec::new();
+        let expanded = self.truncate(expanded, sc.span, CapReason::Expansion, |p| &mut p.0);
+        // 4. Dispatch on the command name.
         for (mut w, fields) in expanded {
             if w.halted {
                 out.push(w);
@@ -1156,47 +1215,63 @@ impl Engine {
                 out.push(w);
                 continue;
             }
-            let name = fields[0].value().as_literal();
-            let args = &fields[1..];
-            match name.as_deref() {
+            let dynamic;
+            let (name, resolved) = match &plan.name {
+                Some((n, r)) => (n.as_str(), r),
                 None => {
-                    w.last_exit = ExitStatus::Unknown;
-                    out.push(w);
+                    let Some(n) = fields[0].as_literal() else {
+                        w.last_exit = ExitStatus::Unknown;
+                        out.push(w);
+                        continue;
+                    };
+                    dynamic = (Resolved::of(&self.specs, &n), n);
+                    (dynamic.1.as_str(), &dynamic.0)
                 }
-                Some(n) if w.functions.contains_key(n) => {
-                    out.extend(self.exec_function(w, n, args));
+            };
+            let args = &fields[1..];
+            if w.functions.contains_key(name) {
+                out.extend(self.exec_function(w, name, args));
+                continue;
+            }
+            match resolved {
+                Resolved::Builtin => {
+                    self.audit_command(name, sc.span.line, true);
+                    out.extend(exec_builtin(self, w, name, args, sc.span));
                 }
-                Some(n) if is_builtin(n) => {
-                    self.audit_command(n, sc.span.line, true);
-                    out.extend(exec_builtin(self, w, n, args, sc.span));
-                }
-                Some("rm") => {
+                Resolved::Rm => {
                     self.audit_command("rm", sc.span.line, true);
                     out.extend(self.exec_rm(w, args, sc.span));
                 }
-                Some(n) => match self.specs.get(n) {
-                    Some(_) => {
-                        self.audit_command(n, sc.span.line, true);
-                        out.extend(self.exec_specified(w, n, args, sc.span));
-                    }
-                    None => {
-                        // Unknown command: unknown status; a capture gets
-                        // an unconstrained value. The audit recorder
-                        // dedupes by call site, so however many live
-                        // worlds pass through here, the missing-spec
-                        // ranking counts this (name, line) once.
-                        self.audit_command(n, sc.span.line, false);
-                        if w.capture.is_some() {
-                            let v = w.fresh_sym(Regex::anything(), &format!("$({n} …)"));
-                            w.emit_stdout(v);
+                Resolved::Spec(spec) => {
+                    self.audit_command(name, sc.span.line, true);
+                    out.extend(self.exec_specified(w, name, spec, args, sc.span));
+                }
+                Resolved::Classified(cases) => {
+                    self.audit_command(name, sc.span.line, true);
+                    match cases {
+                        Some(cases) => out.extend(self.exec_spec_cases(w, name, cases, sc.span)),
+                        None => {
+                            w.last_exit = ExitStatus::Unknown;
+                            out.push(w);
                         }
-                        w.last_exit = ExitStatus::Unknown;
-                        out.push(w);
                     }
-                },
+                }
+                Resolved::Unknown => {
+                    // Unknown command: unknown status; a capture gets
+                    // an unconstrained value. The audit recorder
+                    // dedupes by call site, so however many live
+                    // worlds pass through here, the missing-spec
+                    // ranking counts this (name, line) once.
+                    self.audit_command(name, sc.span.line, false);
+                    if w.capture.is_some() {
+                        let v = w.fresh_sym(Regex::anything(), &format!("$({name} …)"));
+                        w.emit_stdout(v);
+                    }
+                    w.last_exit = ExitStatus::Unknown;
+                    out.push(w);
+                }
             }
         }
-        out
     }
 
     fn exec_function(&self, mut world: World, name: &str, args: &[Field]) -> Vec<World> {
@@ -1231,7 +1306,7 @@ impl Engine {
         let mut force = false;
         let mut operands: Vec<&Field> = Vec::new();
         for f in args {
-            match f.value().as_literal() {
+            match f.as_literal() {
                 Some(t) if t.starts_with('-') && t.len() > 1 && operands.is_empty() => {
                     for c in t.chars().skip(1) {
                         match c {
@@ -1353,17 +1428,22 @@ impl Engine {
         worlds
     }
 
-    /// Generic spec-driven execution of an external command.
-    fn exec_specified(&self, world: World, name: &str, args: &[Field], span: Span) -> Vec<World> {
-        let spec = self
-            .specs
-            .get(name)
-            .expect("exec_specified is reached only for names the spec library resolved");
+    /// Generic spec-driven execution of an external command whose argv
+    /// varies per world: classifies this world's argv, then runs the
+    /// cases that apply.
+    fn exec_specified(
+        &self,
+        world: World,
+        name: &str,
+        spec: &CommandSpec,
+        args: &[Field],
+        span: Span,
+    ) -> Vec<World> {
         // Build argv, remembering which operand slots are symbolic.
         let mut argv: Vec<String> = Vec::new();
         let mut symbolic: Vec<(String, SymStr)> = Vec::new();
         for (i, f) in args.iter().enumerate() {
-            match f.value().as_literal() {
+            match f.as_literal() {
                 Some(t) => argv.push(t),
                 None => {
                     let marker = format!("\u{1}sym{i}");
@@ -1372,62 +1452,37 @@ impl Engine {
                 }
             }
         }
-        let inv = match spec.syntax.classify(&argv) {
-            Ok(inv) => inv,
-            Err(_) => {
+        match SpecCases::classify(spec, &argv, &symbolic) {
+            Some(cases) => self.exec_spec_cases(world, name, &cases, span),
+            None => {
                 let mut w = world;
                 w.last_exit = ExitStatus::Unknown;
-                return vec![w];
+                vec![w]
             }
-        };
-        let operand_value = |_w: &mut World, idx: usize| -> Option<SymStr> {
-            let text = inv.operands.get(idx)?;
-            match symbolic.iter().find(|(m, _)| m == text) {
-                Some((_, v)) => Some(v.clone()),
-                None => Some(SymStr::lit(text)),
-            }
-        };
-        // Borrowed cases: this runs once per live world per statement,
-        // so cloning the spec (nested `Vec<String>`s) here was a
-        // measurable share of straight-line analysis time.
-        let cases: Vec<&shoal_spec::SpecCase> = spec.applicable(&inv).collect();
-        if cases.is_empty() {
-            let mut w = world;
-            w.last_exit = ExitStatus::Unknown;
-            return vec![w];
         }
+    }
+
+    /// Runs the applicable cases of a classified invocation on one
+    /// world: one successor per feasible case.
+    fn exec_spec_cases(&self, world: World, name: &str, cs: &SpecCases, span: Span) -> Vec<World> {
+        let cases = &cs.cases;
         let mut out = Vec::new();
         let mut any_feasible = false;
         let mut success_feasible = false;
         let success_possible = cases.iter().any(|c| c.exit != ExitSpec::Failure);
         let multi_case = cases.len() > 1;
-        let case_label = |case: &shoal_spec::SpecCase| {
-            format!(
-                "`{inv}` {}",
-                match case.exit {
-                    ExitSpec::Success => "succeeds",
-                    ExitSpec::Failure => "fails",
-                    ExitSpec::Unknown => "exits either way",
-                }
-            )
-        };
-        for case in &cases {
+        for (i, case) in cases.iter().enumerate() {
             let mut w = world.clone();
             // Preconditions.
             let mut feasible = true;
             for Cond::OperandIs(marker, req) in &case.pre {
-                let want = match req {
-                    NodeReq::File => NodeState::File,
-                    NodeReq::Dir => NodeState::Dir,
-                    NodeReq::Exists => NodeState::Exists,
-                    NodeReq::Absent => NodeState::Absent,
-                    NodeReq::Any => continue,
+                let Some(want) = node_state(*req) else {
+                    continue;
                 };
-                for idx in operand_indices(*marker, inv.operands.len()) {
-                    let Some(v) = operand_value(&mut w, idx) else {
+                for idx in operand_indices(*marker, cs.inv.operands.len()) {
+                    let Some(key) = cs.key(&mut w, idx) else {
                         continue;
                     };
-                    let Some(key) = w.fs_key(&v) else { continue };
                     match w.fs.require(&key, want) {
                         Require::Contradiction(_) => {
                             feasible = false;
@@ -1441,7 +1496,7 @@ impl Engine {
                             // state will fail.
                             if matches!(outcome, Require::Assumed)
                                 && case.exit != ExitSpec::Failure
-                                && !has_success_case_for_complement(&cases, want)
+                                && !has_success_case_for_complement(cases, want)
                             {
                                 w.fragile_assumptions.push((key.clone(), want, span));
                             }
@@ -1451,7 +1506,7 @@ impl Engine {
             }
             if !feasible {
                 if multi_case {
-                    self.branch_pruned(world.id, "spec", span, case_label(case));
+                    self.branch_pruned(world.id, "spec", span, cs.labels[i].as_str());
                 }
                 continue;
             }
@@ -1462,7 +1517,7 @@ impl Engine {
                     "spec",
                     span,
                     TrailKind::FsState,
-                    case_label(case),
+                    cs.labels[i].as_str(),
                 );
             }
             any_feasible = true;
@@ -1471,7 +1526,7 @@ impl Engine {
             }
             // Effects.
             for effect in &case.effects {
-                self.apply_effect(&mut w, effect, &inv, &symbolic, case.stdout_line.as_deref());
+                self.apply_effect(&mut w, effect, cs, case.stdout_line.as_deref());
             }
             w.last_exit = match case.exit {
                 ExitSpec::Success => ExitStatus::Zero,
@@ -1487,14 +1542,13 @@ impl Engine {
             // blocking state is the script's *own doing* (an effect);
             // failing on a path where we merely assumed an unlucky
             // initial world is ordinary behavior, not a bug.
-            let why = first_contradiction(&self.specs, &world, name, &cases, &inv, &symbolic);
-            if let Some((message, script_caused)) = why {
+            if let Some((message, script_caused)) = first_contradiction(&world, cs) {
                 if script_caused {
                     let diag = Diagnostic::new(
                         DiagCode::AlwaysFails,
                         Severity::Warning,
                         span,
-                        format!("`{inv}` can never succeed here: {message}"),
+                        format!("`{}` can never succeed here: {message}", cs.inv),
                     )
                     .with_origin(format!("spec:{name}"));
                     match out.first_mut() {
@@ -1526,83 +1580,52 @@ impl Engine {
         &self,
         w: &mut World,
         effect: &Effect,
-        inv: &Invocation,
-        symbolic: &[(String, SymStr)],
+        cs: &SpecCases,
         stdout_line: Option<&str>,
     ) {
-        let value_of = |_w: &mut World, idx: usize| -> Option<SymStr> {
-            let text = inv.operands.get(idx)?;
-            match symbolic.iter().find(|(m, _)| m == text) {
-                Some((_, v)) => Some(v.clone()),
-                None => Some(SymStr::lit(text)),
-            }
-        };
-        let each = |w: &mut World, marker: usize, f: &mut dyn FnMut(&mut World, SymStr)| {
-            for idx in operand_indices(marker, inv.operands.len()) {
-                if let Some(v) = value_of(w, idx) {
-                    f(w, v);
+        let each = |w: &mut World, marker: usize, f: &mut dyn FnMut(&mut World, FsKey)| {
+            for idx in operand_indices(marker, cs.inv.operands.len()) {
+                if let Some(k) = cs.key(w, idx) {
+                    f(w, k);
                 }
             }
         };
         match effect {
-            Effect::Deletes(m) => each(w, *m, &mut |w, v| {
-                if let Some(k) = w.fs_key(&v) {
-                    w.fs.delete_tree(&k);
-                }
+            Effect::Deletes(m) => each(w, *m, &mut |w, k| w.fs.delete_tree(&k)),
+            Effect::DeletesChildren(m) => each(w, *m, &mut |w, k| w.fs.delete_children(&k)),
+            Effect::CreatesFile(m) => each(w, *m, &mut |w, k| {
+                let _ = w.fs.create_file(&k);
             }),
-            Effect::DeletesChildren(m) => each(w, *m, &mut |w, v| {
-                if let Some(k) = w.fs_key(&v) {
-                    w.fs.delete_children(&k);
-                }
+            Effect::CreatesDir(m) | Effect::CreatesDirChain(m) => each(w, *m, &mut |w, k| {
+                let _ = w.fs.create_dir(&k);
             }),
-            Effect::CreatesFile(m) => each(w, *m, &mut |w, v| {
-                if let Some(k) = w.fs_key(&v) {
-                    let _ = w.fs.create_file(&k);
-                }
-            }),
-            Effect::CreatesDir(m) | Effect::CreatesDirChain(m) => each(w, *m, &mut |w, v| {
-                if let Some(k) = w.fs_key(&v) {
-                    let _ = w.fs.create_dir(&k);
-                }
-            }),
-            Effect::Reads(m) => each(w, *m, &mut |w, v| {
-                if let Some(k) = w.fs_key(&v) {
-                    let _ = w.fs.require(&k, NodeState::Exists);
-                }
-            }),
-            Effect::Writes(m) => each(w, *m, &mut |w, v| {
-                if let Some(k) = w.fs_key(&v) {
-                    let _ = w.fs.require(&k, NodeState::Exists);
-                }
+            Effect::Reads(m) | Effect::Writes(m) => each(w, *m, &mut |w, k| {
+                let _ = w.fs.require(&k, NodeState::Exists);
             }),
             Effect::CopiesTo { src, dst } => {
-                let s = value_of(w, *src);
-                let d = value_of(w, *dst);
-                if let (Some(s), Some(d)) = (s, d) {
-                    if let Some(sk) = w.fs_key(&s) {
+                if cs.operands.get(*src).is_some() && cs.operands.get(*dst).is_some() {
+                    if let Some(sk) = cs.key(w, *src) {
                         let _ = w.fs.require(&sk, NodeState::Exists);
                     }
-                    if let Some(dk) = w.fs_key(&d) {
+                    if let Some(dk) = cs.key(w, *dst) {
                         let _ = w.fs.create_file(&dk);
                     }
                 }
             }
             Effect::MovesTo { src, dst } => {
-                let s = value_of(w, *src);
-                let d = value_of(w, *dst);
-                if let (Some(s), Some(d)) = (s, d) {
-                    if let Some(sk) = w.fs_key(&s) {
+                if cs.operands.get(*src).is_some() && cs.operands.get(*dst).is_some() {
+                    if let Some(sk) = cs.key(w, *src) {
                         w.fs.delete_tree(&sk);
                     }
-                    if let Some(dk) = w.fs_key(&d) {
+                    if let Some(dk) = cs.key(w, *dst) {
                         let _ = w.fs.create_file(&dk);
                     }
                 }
             }
             Effect::ChangesCwdTo(m) => {
-                if let Some(idx) = operand_indices(*m, inv.operands.len()).first() {
-                    if let Some(v) = value_of(w, *idx) {
-                        w.cwd = v;
+                if let Some(idx) = operand_indices(*m, cs.inv.operands.len()).first() {
+                    if let Some(v) = cs.operands.get(*idx) {
+                        w.cwd = v.value.clone();
                     }
                 }
             }
@@ -1616,12 +1639,214 @@ impl Engine {
                     let lang =
                         Regex::concat(vec![line_type.then(&Regex::byte(b'\n')).star(), line_type])
                             .opt();
-                    let v = w.fresh_sym(lang, &format!("$({inv})"));
+                    let v = w.fresh_sym(lang, &format!("$({})", cs.inv));
                     w.emit_stdout(v);
                 }
             }
             Effect::WritesStderr => {}
         }
+    }
+}
+
+/// The world-independent part of a simple command, built once per
+/// [`Engine::exec_simple`] call. Building it reads only the AST and the
+/// spec library: it allocates no world id and no symbol, and moves no
+/// counter.
+struct SimplePlan<'s> {
+    /// Per assignment, its value when static.
+    assigns: Vec<Option<SymStr>>,
+    /// Per word, its fields when static; empty when every word is.
+    words: Vec<Option<Vec<Field>>>,
+    /// Every field, when every word is static.
+    fields: Option<Vec<Field>>,
+    /// Per redirect, its target when static.
+    redirs: Vec<Option<PathArg>>,
+    /// The command name and what it resolves to, when static words
+    /// decide it.
+    name: Option<(String, Resolved<'s>)>,
+}
+
+impl<'s> SimplePlan<'s> {
+    fn new(specs: &'s SpecLibrary, sc: &SimpleCommand) -> SimplePlan<'s> {
+        let mut words: Vec<Option<Vec<Field>>> = sc.words.iter().map(static_fields).collect();
+        // The name is the first field; static words decide it when the
+        // first word to yield a field, and every word before it, are
+        // static.
+        let name = words
+            .iter()
+            .find(|fs| fs.as_ref().is_none_or(|fs| !fs.is_empty()))
+            .and_then(|fs| fs.as_ref()?[0].as_literal());
+        let fields = if words.iter().all(Option::is_some) {
+            Some(words.drain(..).flatten().flatten().collect::<Vec<Field>>())
+        } else {
+            None
+        };
+        let name = name.map(|n| {
+            let resolved = match (Resolved::of(specs, &n), &fields) {
+                (Resolved::Spec(spec), Some(fields)) => {
+                    // Static argv: every field is literal.
+                    let argv: Vec<String> =
+                        fields[1..].iter().filter_map(Field::as_literal).collect();
+                    Resolved::Classified(SpecCases::classify(spec, &argv, &[]))
+                }
+                (resolved, _) => resolved,
+            };
+            (n, resolved)
+        });
+        SimplePlan {
+            assigns: sc
+                .assignments
+                .iter()
+                .map(|a| static_value(&a.value))
+                .collect(),
+            words,
+            fields,
+            redirs: sc
+                .redirects
+                .iter()
+                .map(|r| static_value(&r.target).map(PathArg::new))
+                .collect(),
+            name,
+        }
+    }
+}
+
+/// What a command name resolves to, functions aside (those are
+/// per-world state and are looked up first).
+enum Resolved<'s> {
+    Builtin,
+    Rm,
+    /// A spec'd command whose argv is classified per world.
+    Spec(&'s CommandSpec),
+    /// A spec'd command with static argv, classified once; `None` when
+    /// its argv does not classify or no case applies (exit unknown).
+    Classified(Option<SpecCases<'s>>),
+    Unknown,
+}
+
+impl<'s> Resolved<'s> {
+    fn of(specs: &'s SpecLibrary, name: &str) -> Resolved<'s> {
+        if is_builtin(name) {
+            Resolved::Builtin
+        } else if name == "rm" {
+            Resolved::Rm
+        } else {
+            specs.get(name).map_or(Resolved::Unknown, Resolved::Spec)
+        }
+    }
+}
+
+/// A classified invocation of a spec'd command with the cases that
+/// apply to it.
+struct SpecCases<'s> {
+    inv: Invocation,
+    /// One per operand of `inv`: symbolic where argv had a symbolic
+    /// value.
+    operands: Vec<PathArg>,
+    cases: Vec<&'s SpecCase>,
+    /// The world-tree label of each case; empty for a single case,
+    /// which never forks.
+    labels: Vec<String>,
+}
+
+impl<'s> SpecCases<'s> {
+    /// Classifies `argv`, in which the symbolic values stand as marker
+    /// strings; `None` when it does not classify or no case applies.
+    fn classify(
+        spec: &'s CommandSpec,
+        argv: &[String],
+        symbolic: &[(String, SymStr)],
+    ) -> Option<SpecCases<'s>> {
+        let inv = spec.syntax.classify(argv).ok()?;
+        let cases: Vec<&SpecCase> = spec.applicable(&inv).collect();
+        if cases.is_empty() {
+            return None;
+        }
+        let operands = inv
+            .operands
+            .iter()
+            .map(|text| match symbolic.iter().find(|(m, _)| m == text) {
+                Some((_, v)) => PathArg::new(v.clone()),
+                None => PathArg::new(SymStr::lit(text)),
+            })
+            .collect();
+        let labels = if cases.len() > 1 {
+            cases
+                .iter()
+                .map(|case| {
+                    let outcome = match case.exit {
+                        ExitSpec::Success => "succeeds",
+                        ExitSpec::Failure => "fails",
+                        ExitSpec::Unknown => "exits either way",
+                    };
+                    format!("`{inv}` {outcome}")
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Some(SpecCases {
+            inv,
+            operands,
+            cases,
+            labels,
+        })
+    }
+
+    /// The key of operand `idx` in world `w`.
+    fn key(&self, w: &mut World, idx: usize) -> Option<FsKey> {
+        self.operands.get(idx)?.key(w)
+    }
+}
+
+/// A path-valued argument, with its file-system key when that key is
+/// the same in every world (an absolute literal path).
+struct PathArg {
+    value: SymStr,
+    fixed: Option<FsKey>,
+}
+
+impl PathArg {
+    fn new(value: SymStr) -> PathArg {
+        let fixed = value.as_literal().and_then(|t| FsKey::absolute(&t));
+        PathArg { value, fixed }
+    }
+
+    /// The key in world `w`, as [`World::fs_key`] resolves it.
+    fn key(&self, w: &mut World) -> Option<FsKey> {
+        match &self.fixed {
+            Some(k) => Some(k.clone()),
+            None => w.fs_key(&self.value),
+        }
+    }
+}
+
+/// A redirection's effect on its target: output redirects create (or
+/// truncate) it, input redirects require it.
+fn redirect_effect(w: &mut World, op: RedirOp, target: &PathArg) {
+    match op {
+        RedirOp::Out | RedirOp::Append | RedirOp::Clobber | RedirOp::ReadWrite => {
+            if let Some(k) = target.key(w) {
+                let _ = w.fs.create_file(&k);
+            }
+        }
+        RedirOp::In => {
+            if let Some(k) = target.key(w) {
+                let _ = w.fs.require(&k, NodeState::File);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The node state a precondition asks for; `None` for no constraint.
+fn node_state(req: NodeReq) -> Option<NodeState> {
+    match req {
+        NodeReq::File => Some(NodeState::File),
+        NodeReq::Dir => Some(NodeState::Dir),
+        NodeReq::Exists => Some(NodeState::Exists),
+        NodeReq::Absent => Some(NodeState::Absent),
+        NodeReq::Any => None,
     }
 }
 
@@ -1651,36 +1876,18 @@ fn has_success_case_for_complement(cases: &[&shoal_spec::SpecCase], want: NodeSt
 /// returns (explanation, script_caused) where `script_caused` is true
 /// when the blocking state is an effect the script performed rather
 /// than an assumption about the initial world.
-fn first_contradiction(
-    _specs: &SpecLibrary,
-    w: &World,
-    _name: &str,
-    cases: &[&shoal_spec::SpecCase],
-    inv: &Invocation,
-    symbolic: &[(String, SymStr)],
-) -> Option<(String, bool)> {
-    for case in cases {
+fn first_contradiction(w: &World, cs: &SpecCases) -> Option<(String, bool)> {
+    for case in &cs.cases {
         if case.exit == ExitSpec::Failure {
             continue;
         }
         let mut probe = w.clone();
         for Cond::OperandIs(marker, req) in &case.pre {
-            let want = match req {
-                NodeReq::File => NodeState::File,
-                NodeReq::Dir => NodeState::Dir,
-                NodeReq::Exists => NodeState::Exists,
-                NodeReq::Absent => NodeState::Absent,
-                NodeReq::Any => continue,
+            let Some(want) = node_state(*req) else {
+                continue;
             };
-            for idx in operand_indices(*marker, inv.operands.len()) {
-                let Some(text) = inv.operands.get(idx) else {
-                    continue;
-                };
-                let v = match symbolic.iter().find(|(m, _)| m == text) {
-                    Some((_, v)) => v.clone(),
-                    None => SymStr::lit(text),
-                };
-                let Some(key) = probe.fs_key(&v) else {
+            for idx in operand_indices(*marker, cs.inv.operands.len()) {
+                let Some(key) = cs.key(&mut probe, idx) else {
                     continue;
                 };
                 if let Require::Contradiction(c) = probe.fs.require(&key, want) {

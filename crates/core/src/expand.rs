@@ -16,7 +16,7 @@
 use crate::engine::Engine;
 use crate::glob::{remove_affix, word_pattern_to_regex, Affix};
 use crate::provenance::TrailKind;
-use crate::value::SymStr;
+use crate::value::{Seg, SymStr};
 use crate::world::World;
 use shoal_relang::Regex;
 use shoal_shparse::{ParamExp, ParamOp, Span, Word, WordPart};
@@ -52,6 +52,21 @@ impl Field {
             out = out.concat(&c.value);
         }
         out
+    }
+
+    /// The field's text when it is fully literal (what
+    /// `self.value().as_literal()` is, without building the value).
+    pub fn as_literal(&self) -> Option<String> {
+        let mut out = String::new();
+        for c in &self.chunks {
+            for seg in &c.value.segs {
+                match seg {
+                    Seg::Lit(s) => out.push_str(s),
+                    Seg::Sym { .. } => return None,
+                }
+            }
+        }
+        Some(out)
     }
 
     /// Splits the field into a base value and a trailing *active glob
@@ -102,14 +117,62 @@ pub fn expand_word(eng: &Engine, world: World, word: &Word) -> Branches<Vec<Fiel
 pub fn expand_word_single(eng: &Engine, world: World, word: &Word) -> Branches<SymStr> {
     expand_chunks(eng, world, word)
         .into_iter()
-        .map(|(w, chunks)| {
-            let mut v = SymStr::empty();
-            for c in &chunks {
-                v = v.concat(&c.value);
-            }
-            (w, v)
-        })
+        .map(|(w, chunks)| (w, concat_chunks(&chunks)))
         .collect()
+}
+
+/// The fields of a *static* word — one made only of literal text,
+/// quotes and glob characters — which expands the same way in every
+/// world without reading or changing it. `None` when the word has a
+/// parameter, command substitution, tilde or arithmetic part.
+pub fn static_fields(word: &Word) -> Option<Vec<Field>> {
+    static_chunks(word).map(split_fields)
+}
+
+/// The value of a static word (see [`static_fields`]) as
+/// [`expand_word_single`] would produce it.
+pub fn static_value(word: &Word) -> Option<SymStr> {
+    static_chunks(word).map(|chunks| concat_chunks(&chunks))
+}
+
+fn concat_chunks(chunks: &[Chunk]) -> SymStr {
+    let mut v = SymStr::empty();
+    for c in chunks {
+        v = v.concat(&c.value);
+    }
+    v
+}
+
+/// The chunks [`expand_chunks`] yields for a static word, in its one
+/// branch.
+fn static_chunks(word: &Word) -> Option<Vec<Chunk>> {
+    let mut chunks = Vec::new();
+    for part in &word.parts {
+        match part {
+            WordPart::DoubleQuoted(inner) => {
+                for p in inner {
+                    chunks.push(literal_chunk(p, true)?);
+                }
+            }
+            p => chunks.push(literal_chunk(p, false)?),
+        }
+    }
+    Some(chunks)
+}
+
+/// The chunk of a literal, single-quoted or glob part; `None` for any
+/// other part.
+fn literal_chunk(part: &WordPart, quoted: bool) -> Option<Chunk> {
+    let (text, glob_active) = match part {
+        WordPart::Literal(s) | WordPart::Glob(s) => (s, !quoted),
+        WordPart::SingleQuoted(s) => (s, false),
+        _ => return None,
+    };
+    Some(Chunk {
+        value: SymStr::lit(text),
+        glob_active,
+        splittable_expansion: false,
+    })
 }
 
 /// Field-splits a chunk sequence: unquoted literal chunks containing
@@ -197,30 +260,9 @@ fn expand_chunks(eng: &Engine, world: World, word: &Word) -> Branches<Vec<Chunk>
 
 fn expand_part(eng: &Engine, world: World, part: &WordPart, quoted: bool) -> Branches<Vec<Chunk>> {
     match part {
-        WordPart::Literal(s) => vec![(
-            world,
-            vec![Chunk {
-                value: SymStr::lit(s),
-                glob_active: !quoted,
-                splittable_expansion: false,
-            }],
-        )],
-        WordPart::SingleQuoted(s) => vec![(
-            world,
-            vec![Chunk {
-                value: SymStr::lit(s),
-                glob_active: false,
-                splittable_expansion: false,
-            }],
-        )],
-        WordPart::Glob(g) => vec![(
-            world,
-            vec![Chunk {
-                value: SymStr::lit(g),
-                glob_active: !quoted,
-                splittable_expansion: false,
-            }],
-        )],
+        WordPart::Literal(_) | WordPart::SingleQuoted(_) | WordPart::Glob(_) => {
+            vec![(world, literal_chunk(part, quoted).into_iter().collect())]
+        }
         WordPart::Tilde(user) => {
             let mut w = world;
             let label = match user {

@@ -306,7 +306,7 @@ impl World {
                 return FsKey::absolute(&text);
             }
             // Relative: anchor at the cwd.
-            return match self.cwd.clone().as_literal() {
+            return match self.cwd.as_literal() {
                 Some(cwd) => FsKey::absolute(&join(&cwd, &text)),
                 None => match self.cwd.as_single_sym() {
                     Some((cwd_id, _)) => {

@@ -259,8 +259,12 @@ pub struct CommandSpec {
 }
 
 impl CommandSpec {
-    /// The cases applicable to one classified invocation.
-    pub fn applicable<'a>(&'a self, inv: &'a Invocation) -> impl Iterator<Item = &'a SpecCase> {
+    /// The cases applicable to one classified invocation. The cases
+    /// borrow only the spec, so they may outlive `inv`.
+    pub fn applicable<'a, 'i>(
+        &'a self,
+        inv: &'i Invocation,
+    ) -> impl Iterator<Item = &'a SpecCase> + use<'a, 'i> {
         self.cases.iter().filter(move |c| c.guard.matches(inv))
     }
 

@@ -9,7 +9,10 @@
 //! engine treats them as independent, a documented under-approximation).
 
 use crate::path::{normalize_lexical, split_components};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifier of a symbolic path base (allocated by the analysis engine,
 /// one per unknown path-valued expression).
@@ -25,22 +28,46 @@ pub enum Base {
 }
 
 /// The identity of a file-system location.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The components are shared: a key is a prefix of a reference-counted
+/// component buffer, so cloning a key (every fork of the heap and every
+/// path copy of its persistent map does) and stepping to an ancestor
+/// are refcount bumps, never string copies. Equality, hashing and
+/// ordering see only the components and agree with a `(Base,
+/// Vec<String>)` pair, so heap shapes and output order do not depend
+/// on which buffer a key shares.
+#[derive(Debug, Clone)]
 pub struct FsKey {
     /// The anchor.
     pub base: Base,
-    /// Component names below the anchor (normalized: no `.`, `..`, or
-    /// empty components).
-    pub comps: Vec<String>,
+    /// Component buffer; the key is its first `len` components.
+    buf: Arc<[Arc<str>]>,
+    len: usize,
 }
 
 impl FsKey {
+    fn new(base: Base, comps: Vec<Arc<str>>) -> FsKey {
+        let len = comps.len();
+        FsKey {
+            base,
+            buf: comps.into(),
+            len,
+        }
+    }
+
+    /// The key with the first `len` of `self`'s components (shares the
+    /// buffer).
+    fn prefix(&self, len: usize) -> FsKey {
+        FsKey {
+            base: self.base,
+            buf: Arc::clone(&self.buf),
+            len,
+        }
+    }
+
     /// The root key (`/`).
     pub fn root() -> FsKey {
-        FsKey {
-            base: Base::Root,
-            comps: Vec::new(),
-        }
+        FsKey::new(Base::Root, Vec::new())
     }
 
     /// A key for a concrete absolute path (normalized lexically).
@@ -50,21 +77,15 @@ impl FsKey {
             return None;
         }
         let norm = normalize_lexical(path);
-        Some(FsKey {
-            base: Base::Root,
-            comps: split_components(&norm)
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-        })
+        Some(FsKey::new(
+            Base::Root,
+            split_components(&norm).into_iter().map(Arc::from).collect(),
+        ))
     }
 
     /// A key anchored at symbolic base `sym` with no suffix.
     pub fn symbolic(sym: SymBase) -> FsKey {
-        FsKey {
-            base: Base::Sym(sym),
-            comps: Vec::new(),
-        }
+        FsKey::new(Base::Sym(sym), Vec::new())
     }
 
     /// A key anchored at symbolic base `sym` with a relative suffix.
@@ -75,36 +96,31 @@ impl FsKey {
         if comps.contains(&"..") {
             return None;
         }
-        Some(FsKey {
-            base: Base::Sym(sym),
-            comps: comps.into_iter().map(str::to_string).collect(),
-        })
+        Some(FsKey::new(
+            Base::Sym(sym),
+            comps.into_iter().map(Arc::from).collect(),
+        ))
+    }
+
+    /// Component names below the anchor (normalized: no `.`, `..`, or
+    /// empty components).
+    pub fn comps(&self) -> &[Arc<str>] {
+        &self.buf[..self.len]
     }
 
     /// The key for `self`'s child named `name`.
     pub fn child(&self, name: &str) -> FsKey {
-        let mut comps = self.comps.clone();
-        comps.push(name.to_string());
-        FsKey {
-            base: self.base,
-            comps,
-        }
+        let mut comps = self.comps().to_vec();
+        comps.push(Arc::from(name));
+        FsKey::new(self.base, comps)
     }
 
     /// The parent key, unless `self` is a bare anchor.
     pub fn parent(&self) -> Option<FsKey> {
-        if self.comps.is_empty() {
-            match self.base {
-                Base::Root => Some(FsKey::root()),
-                Base::Sym(_) => None,
-            }
-        } else {
-            let mut comps = self.comps.clone();
-            comps.pop();
-            Some(FsKey {
-                base: self.base,
-                comps,
-            })
+        match (self.len, self.base) {
+            (0, Base::Root) => Some(self.clone()),
+            (0, Base::Sym(_)) => None,
+            (len, _) => Some(self.prefix(len - 1)),
         }
     }
 
@@ -112,32 +128,50 @@ impl FsKey {
     /// different bases never relate.
     pub fn is_ancestor_or_equal(&self, other: &FsKey) -> bool {
         self.base == other.base
-            && self.comps.len() <= other.comps.len()
-            && self
-                .comps
-                .iter()
-                .zip(other.comps.iter())
-                .all(|(a, b)| a == b)
+            && self.len <= other.len
+            && self.comps() == &other.comps()[..self.len]
     }
 
     /// Is this the file-system root itself?
     pub fn is_root(&self) -> bool {
-        self.base == Base::Root && self.comps.is_empty()
+        self.base == Base::Root && self.len == 0
     }
 
-    /// All proper ancestors, nearest first (excluding the bare anchor for
-    /// symbolic keys — we know nothing above a symbolic base).
-    pub fn proper_ancestors(&self) -> Vec<FsKey> {
-        let mut out = Vec::new();
-        let mut cur = self.clone();
-        while let Some(p) = cur.parent() {
-            if p == cur {
-                break;
-            }
-            out.push(p.clone());
-            cur = p;
-        }
-        out
+    /// All proper ancestors, nearest first, down to and including the
+    /// anchor: `/` for an absolute key, the bare symbolic base for a
+    /// symbolic one (what `rm -r $1; cat $1/config` needs: `$1` itself
+    /// is an ancestor of `$1/config`). Allocates nothing.
+    pub fn proper_ancestors(&self) -> impl Iterator<Item = FsKey> + '_ {
+        (0..self.len).rev().map(|len| self.prefix(len))
+    }
+}
+
+impl PartialEq for FsKey {
+    fn eq(&self, other: &FsKey) -> bool {
+        self.base == other.base && self.comps() == other.comps()
+    }
+}
+
+impl Eq for FsKey {}
+
+impl Hash for FsKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.base.hash(state);
+        self.comps().hash(state);
+    }
+}
+
+impl PartialOrd for FsKey {
+    fn partial_cmp(&self, other: &FsKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FsKey {
+    fn cmp(&self, other: &FsKey) -> Ordering {
+        self.base
+            .cmp(&other.base)
+            .then_with(|| self.comps().cmp(other.comps()))
     }
 }
 
@@ -145,15 +179,15 @@ impl fmt::Display for FsKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.base {
             Base::Root => {
-                if self.comps.is_empty() {
+                if self.len == 0 {
                     write!(f, "/")
                 } else {
-                    write!(f, "/{}", self.comps.join("/"))
+                    write!(f, "/{}", self.comps().join("/"))
                 }
             }
             Base::Sym(n) => {
                 write!(f, "<sym{n}>")?;
-                for c in &self.comps {
+                for c in self.comps() {
                     write!(f, "/{c}")?;
                 }
                 Ok(())
@@ -179,7 +213,10 @@ mod tests {
         let k = FsKey::symbolic_with(3, "config/app.toml").unwrap();
         assert_eq!(k.to_string(), "<sym3>/config/app.toml");
         assert_eq!(FsKey::symbolic_with(3, "../escape"), None);
-        assert_eq!(FsKey::symbolic_with(3, "./x").unwrap().comps, vec!["x"]);
+        assert_eq!(
+            FsKey::symbolic_with(3, "./x").unwrap().comps(),
+            [Arc::from("x")]
+        );
     }
 
     #[test]
@@ -188,10 +225,57 @@ mod tests {
         assert_eq!(k.parent().unwrap().to_string(), "/a/b");
         assert_eq!(FsKey::root().parent().unwrap(), FsKey::root());
         assert_eq!(FsKey::symbolic(1).parent(), None);
-        let ancestors = k.proper_ancestors();
+        let ancestors: Vec<FsKey> = k.proper_ancestors().collect();
         assert_eq!(ancestors.len(), 3);
         assert_eq!(ancestors[0].to_string(), "/a/b");
         assert_eq!(ancestors[2].to_string(), "/");
+        assert_eq!(FsKey::root().proper_ancestors().count(), 0);
+    }
+
+    #[test]
+    fn symbolic_ancestors_include_the_bare_anchor() {
+        let k = FsKey::symbolic_with(0, "a/b").unwrap();
+        let ancestors: Vec<String> = k.proper_ancestors().map(|a| a.to_string()).collect();
+        assert_eq!(ancestors, ["<sym0>/a", "<sym0>"]);
+        assert_eq!(FsKey::symbolic(0).proper_ancestors().count(), 0);
+    }
+
+    #[test]
+    fn hash_and_order_match_owned_components() {
+        // Treap priorities and heap order hash and compare keys; they
+        // must not change with the representation, nor with which
+        // buffer a prefix key shares.
+        fn sip<T: Hash>(t: &T) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+        let owned = |k: &FsKey| {
+            (
+                k.base,
+                k.comps()
+                    .iter()
+                    .map(|c| c.to_string())
+                    .collect::<Vec<String>>(),
+            )
+        };
+        let keys = [
+            FsKey::root(),
+            FsKey::absolute("/a").unwrap(),
+            FsKey::absolute("/a/b").unwrap(),
+            FsKey::absolute("/ab").unwrap(),
+            FsKey::absolute("/a/b/c").unwrap().parent().unwrap(),
+            FsKey::symbolic(1),
+            FsKey::symbolic_with(1, "x/y").unwrap(),
+            FsKey::symbolic(2).child("z"),
+        ];
+        for a in &keys {
+            assert_eq!(sip(a), sip(&owned(a)), "{a}");
+            for b in &keys {
+                assert_eq!(a.cmp(b), owned(a).cmp(&owned(b)), "{a} vs {b}");
+                assert_eq!(a == b, owned(a) == owned(b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

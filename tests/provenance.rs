@@ -53,6 +53,30 @@ fn world_tree_json_golden() {
     );
 }
 
+/// Two tests fork six live worlds that differ in what exists, and
+/// static commands (`touch`, `mkdir -p`, a redirect) then run over all
+/// of them before `rm -rf "$1"; cat "$1"/config` always fails. The
+/// tree pins the ids, fork sites and order that a simple command run
+/// over a whole live-world set must reproduce.
+const STATIC_OVER_WORLDS: &str = r#"#!/bin/sh
+[ -e "$2" ]
+[ -d "$3" ]
+touch /srv/app/stamp
+mkdir -p /srv/app/logs
+echo started > /srv/app/logs/run.log
+rm -rf "$1"
+cat "$1"/config
+"#;
+
+#[test]
+fn static_commands_over_live_worlds_golden() {
+    let r = report(STATIC_OVER_WORLDS);
+    assert!(r.worlds_explored >= 4, "peak {}", r.worlds_explored);
+    assert!(r.has(shoal::core::DiagCode::AlwaysFails));
+    check_golden("static_worlds.tree.dot", &r.world_tree.to_dot());
+    check_golden("static_worlds.tree.json", &r.world_tree.to_json().to_text());
+}
+
 #[test]
 fn sarif_golden() {
     let entries = vec![("examples/fig1.sh".to_string(), report(figures::FIG1))];
