@@ -51,6 +51,14 @@ fn main() {
         });
     }
 
+    // A long real-world shape: command substitutions, multi-stage
+    // pipelines and function bodies on many live worlds (the input of
+    // the `concatenation of 15` allocation budget).
+    let src = scale::concatenation(15);
+    bench("concat/15", || {
+        black_box(analyze_source_with(black_box(&src), AnalysisOptions::default()).unwrap());
+    });
+
     // The incremental engine's acceptance pair: a trailing one-line
     // edit on a 200-statement script must beat a cold analysis by 5x+
     // (the prefix replays from per-statement summaries).

@@ -1404,19 +1404,18 @@ fn cmd_typecheck(args: &[String]) -> ExitCode {
     };
     let pipe = &item.and_or.first;
     let engine = shoal_core::engine::Engine::new(shoal_core::AnalysisOptions::default());
-    let mut world = shoal_core::World::initial();
-    let final_ty = engine.stream_check_pipeline(&mut world, pipe, None);
-    for d in &world.diags {
+    let check = engine.stream_check_pipeline(pipe);
+    for d in &check.findings {
         println!("{d}");
     }
-    match final_ty {
+    match check.output {
         Some(ty) => {
             println!("final output line type: {ty}");
             let aliases = shoal_streamty::TypeAliases::builtin();
             if let Some(name) = aliases.type_of(&ty) {
                 println!("  (a subtype of `{name}`)");
             }
-            if world.diags.is_empty() {
+            if check.findings.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

@@ -183,7 +183,7 @@ pub(crate) fn analyze_timed(
     annotations: crate::annotations::Annotations,
     t_setup: Instant,
 ) -> AnalysisReport {
-    let (engine, initial) = prologue(opts, annotations);
+    let (engine, initial) = prologue(script, opts, annotations);
     let t_start = Instant::now();
     let setup_us = (t_start - t_setup).as_micros() as u64;
     let worlds = {
@@ -200,18 +200,20 @@ pub(crate) fn analyze_timed(
 }
 
 /// Sets up one analysis: clears stale thread-local approximation
-/// events, builds the engine, and constrains the initial world with
-/// `#@ var NAME : TYPE` annotations. Shared verbatim between the cold
-/// path above and the incremental engine ([`crate::incr`]) — the
-/// byte-identity obligation starts here.
+/// events, builds the engine with `script`'s plan table, and
+/// constrains the initial world with `#@ var NAME : TYPE` annotations
+/// (collapsed where they admit one string). Shared verbatim between
+/// the cold path above and the incremental engine ([`crate::incr`]) —
+/// the byte-identity obligation starts here.
 pub(crate) fn prologue(
+    script: &Script,
     opts: AnalysisOptions,
     annotations: crate::annotations::Annotations,
-) -> (Engine, World) {
+) -> (Engine<'_>, World) {
     // Stale approximation events from earlier analyses on this thread
     // must not be attributed to this report.
     let _ = shoal_relang::take_approx_hits();
-    let mut engine = Engine::new(opts);
+    let mut engine = Engine::for_script(opts, script);
     let mut initial = World::initial();
     // `#@ var NAME : TYPE` constrains the initial environment.
     let var_annotations: Vec<(String, shoal_relang::Regex)> = annotations
@@ -221,7 +223,9 @@ pub(crate) fn prologue(
         .collect();
     engine.annotations = annotations;
     for (name, ty) in var_annotations {
-        let v = initial.fresh_sym(ty, &format!("${name} (annotated)"));
+        let v = initial
+            .fresh_sym(ty, &format!("${name} (annotated)"))
+            .concretized();
         initial.set_var(&name, v);
     }
     (engine, initial)

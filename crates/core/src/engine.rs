@@ -10,11 +10,12 @@
 //! checkers run inline where the relevant state is at hand.
 
 use crate::analyze::AnalysisOptions;
-use crate::builtins::{exec_builtin, is_builtin};
+use crate::builtins::exec_builtin;
 use crate::checkers::{classify_delete, delete_diag, is_platform_source};
 use crate::diag::{DiagCode, Diagnostic, Severity};
-use crate::expand::{expand_word, expand_word_single, static_fields, static_value, Field};
+use crate::expand::{expand_word, expand_word_single, Field};
 use crate::glob::{match_verdict, word_pattern_to_regex, MatchVerdict};
+use crate::plan::{PathArg, PlanTable, Resolved, SimplePlan, SpecCases};
 use crate::provenance::{TrailKind, WorldId, WorldTree};
 use crate::stats::{CapReason, EngineStats};
 use crate::value::{Seg, SymStr};
@@ -92,8 +93,10 @@ impl Budget {
     }
 }
 
-/// The analysis engine: specification library plus options.
-pub struct Engine {
+/// The analysis engine: specification library plus options. `'s` is
+/// the script it plans ([`Engine::for_script`]); the engine borrows it
+/// for its whole life.
+pub struct Engine<'s> {
     /// Command specifications.
     pub specs: SpecLibrary,
     /// Analysis options (bounds, ablation switches).
@@ -112,11 +115,28 @@ pub struct Engine {
     /// [`AnalysisOptions::audit`] is set: the disabled path holds empty
     /// containers and is never touched (no allocation, no clock reads).
     pub audit: RefCell<crate::audit::AuditRecorder>,
+    /// Per-analysis plans of the script's commands and pipelines
+    /// ([`crate::plan`]).
+    plans: PlanTable<'s>,
 }
 
-impl Engine {
-    /// Creates an engine with the built-in spec library.
-    pub fn new(opts: AnalysisOptions) -> Engine {
+impl Engine<'static> {
+    /// Creates an engine with the built-in spec library and no planned
+    /// script: every command and pipeline is planned per call.
+    pub fn new(opts: AnalysisOptions) -> Engine<'static> {
+        Engine::with_plans(opts, PlanTable::default())
+    }
+}
+
+impl<'s> Engine<'s> {
+    /// Creates an engine with the built-in spec library that plans each
+    /// simple command and multi-stage pipeline of `script` once for the
+    /// whole analysis, however many calls and worlds reach it.
+    pub fn for_script(opts: AnalysisOptions, script: &'s Script) -> Engine<'s> {
+        Engine::with_plans(opts, PlanTable::new(script))
+    }
+
+    fn with_plans(opts: AnalysisOptions, plans: PlanTable<'s>) -> Engine<'s> {
         let budget = Budget::new(&opts);
         Engine {
             specs: SpecLibrary::builtin(),
@@ -126,6 +146,7 @@ impl Engine {
             tree: RefCell::new(WorldTree::new()),
             budget,
             audit: RefCell::new(crate::audit::AuditRecorder::default()),
+            plans,
         }
     }
 
@@ -504,17 +525,19 @@ impl Engine {
 
     /// A multi-command pipeline: stream-type it, then run the stages for
     /// their file-system effects.
-    fn exec_multi_stage(&self, world: World, pipe: &Pipeline) -> Vec<World> {
-        let mut worlds = vec![world];
-        // Stream typing happens per world because argument values differ.
+    fn exec_multi_stage(&self, mut world: World, pipe: &Pipeline) -> Vec<World> {
         if self.opts.enable_stream_types {
-            let mut typed = Vec::new();
-            for mut w in worlds {
-                self.stream_check_pipeline(&mut w, pipe, None);
-                typed.push(w);
+            // The check depends only on the pipeline's text; its
+            // findings go on every world that reaches it.
+            let check = self.plans.pipeline(pipe, || {
+                self.stats.note_pipeline_check();
+                self.stream_check_pipeline(pipe)
+            });
+            for d in &check.findings {
+                world.report(d.clone());
             }
-            worlds = typed;
         }
+        let mut worlds = vec![world];
         // Effects: run stages in sequence; only the last stage's stdout
         // reaches a surrounding capture.
         for (i, cmd) in pipe.commands.iter().enumerate() {
@@ -535,25 +558,26 @@ impl Engine {
         worlds
     }
 
-    /// Runs the stream-type checker over a pipeline's stages, reporting
-    /// dead pipes and type mismatches. Returns the final output line
-    /// type when it could be computed. `initial` overrides the first
-    /// stage's input type.
-    pub fn stream_check_pipeline(
-        &self,
-        world: &mut World,
-        pipe: &Pipeline,
-        initial: Option<Regex>,
-    ) -> Option<Regex> {
+    /// Runs the stream-type checker over a pipeline's stages: its dead
+    /// pipes and type mismatches, in stage order, and the final output
+    /// line type when it could be computed. The outcome depends only on
+    /// the pipeline, the spec library and the annotations.
+    pub fn stream_check_pipeline(&self, pipe: &Pipeline) -> StreamCheck {
+        let mut check = StreamCheck {
+            findings: Vec::new(),
+            output: None,
+        };
         // Build (label, sig) stages from literal invocations; the first
         // producer contributes the initial type instead of a sig.
         let mut stages = Vec::new();
-        let mut input = initial.unwrap_or_else(Regex::any_line);
+        let mut input = Regex::any_line();
         for (i, cmd) in pipe.commands.iter().enumerate() {
             let Command::Simple(sc) = cmd else {
-                return None;
+                return check;
             };
-            let inv = self.literal_invocation(sc)?;
+            let Some(inv) = self.literal_invocation(sc) else {
+                return check;
+            };
             if let Some(sig) = self.annotations.cmd_sigs.get(&inv.name) {
                 // An inline `#@ cmd NAME :: IN -> OUT` annotation takes
                 // precedence: the user vouched for this command's type.
@@ -569,11 +593,12 @@ impl Engine {
                 }
             } else {
                 // Unknown mid-pipeline stage: type information is cut.
-                return None;
+                return check;
             }
         }
         if stages.is_empty() {
-            return Some(input);
+            check.output = Some(input);
+            return check;
         }
         let named: Vec<(String, shoal_streamty::Sig)> = stages
             .iter()
@@ -584,17 +609,19 @@ impl Engine {
             match &report.verdict {
                 StageVerdict::Ok => {}
                 StageVerdict::DeadOutput => {
-                    world.report(Diagnostic::new(
-                        DiagCode::DeadPipe,
-                        Severity::Warning,
-                        *span,
-                        format!(
-                            "`{}` can never produce output here: its input has line type {} \
-                             and the intersection is empty",
-                            report.name, report.input
-                        ),
-                    )
-                    .with_origin("checker:streamty"));
+                    check.findings.push(
+                        Diagnostic::new(
+                            DiagCode::DeadPipe,
+                            Severity::Warning,
+                            *span,
+                            format!(
+                                "`{}` can never produce output here: its input has line type {} \
+                                 and the intersection is empty",
+                                report.name, report.input
+                            ),
+                        )
+                        .with_origin("checker:streamty"),
+                    );
                 }
                 StageVerdict::InputMismatch { expected, witness } => {
                     let mut msg = format!(
@@ -604,14 +631,20 @@ impl Engine {
                     if let Some(wit) = witness {
                         msg.push_str(&format!(" (e.g. {wit:?})"));
                     }
-                    world.report(
-                        Diagnostic::new(DiagCode::StreamTypeMismatch, Severity::Warning, *span, msg)
-                            .with_origin("checker:streamty"),
+                    check.findings.push(
+                        Diagnostic::new(
+                            DiagCode::StreamTypeMismatch,
+                            Severity::Warning,
+                            *span,
+                            msg,
+                        )
+                        .with_origin("checker:streamty"),
                     );
                 }
             }
         }
-        reports.last().map(|r| r.output.clone())
+        check.output = reports.last().map(|r| r.output.clone());
+        check
     }
 
     /// A purely literal invocation of a simple command, if every word is
@@ -1072,14 +1105,15 @@ impl Engine {
     /// on the AST — static words, assignment values and redirect
     /// targets, the command name and what it resolves to, and for a
     /// spec'd command with static argv its invocation and cases — is
-    /// built once ([`SimplePlan`]). Each world then runs the rest alone
-    /// and in order, so world ids, symbols and counters come out as if
-    /// every world had run the whole command by itself.
+    /// planned once per analysis ([`SimplePlan`], [`crate::plan`]). Each
+    /// world then runs the rest alone and in order, so world ids,
+    /// symbols and counters come out as if every world had run the
+    /// whole command by itself.
     fn exec_simple(&self, worlds: Vec<World>, sc: &SimpleCommand) -> Vec<World> {
         if worlds.is_empty() {
             return worlds;
         }
-        let plan = SimplePlan::new(&self.specs, sc);
+        let plan = self.plans.simple(sc, || SimplePlan::new(&self.specs, sc));
         let mut out = Vec::new();
         for world in worlds {
             self.exec_simple_in(world, sc, &plan, &mut out);
@@ -1435,7 +1469,7 @@ impl Engine {
         &self,
         world: World,
         name: &str,
-        spec: &CommandSpec,
+        spec: &Arc<CommandSpec>,
         args: &[Field],
         span: Span,
     ) -> Vec<World> {
@@ -1452,7 +1486,7 @@ impl Engine {
                 }
             }
         }
-        match SpecCases::classify(spec, &argv, &symbolic) {
+        match SpecCases::classify(Arc::clone(spec), &argv, &symbolic) {
             Some(cases) => self.exec_spec_cases(world, name, &cases, span),
             None => {
                 let mut w = world;
@@ -1465,13 +1499,19 @@ impl Engine {
     /// Runs the applicable cases of a classified invocation on one
     /// world: one successor per feasible case.
     fn exec_spec_cases(&self, world: World, name: &str, cs: &SpecCases, span: Span) -> Vec<World> {
-        let cases = &cs.cases;
         let mut out = Vec::new();
         let mut any_feasible = false;
         let mut success_feasible = false;
-        let success_possible = cases.iter().any(|c| c.exit != ExitSpec::Failure);
-        let multi_case = cases.len() > 1;
-        for (i, case) in cases.iter().enumerate() {
+        let success_possible = cs.cases().any(|c| c.exit != ExitSpec::Failure);
+        let n_cases = cs.cases().len();
+        let multi_case = n_cases > 1;
+        for (i, case) in cs.cases().enumerate() {
+            if doomed(&world, cs, case) {
+                if multi_case {
+                    self.branch_pruned(world.id, "spec", span, cs.labels[i].as_str());
+                }
+                continue;
+            }
             let mut w = world.clone();
             // Preconditions.
             let mut feasible = true;
@@ -1496,7 +1536,7 @@ impl Engine {
                             // state will fail.
                             if matches!(outcome, Require::Assumed)
                                 && case.exit != ExitSpec::Failure
-                                && !has_success_case_for_complement(cases, want)
+                                && !has_success_case_for_complement(cs, want)
                             {
                                 w.fragile_assumptions.push((key.clone(), want, span));
                             }
@@ -1572,7 +1612,7 @@ impl Engine {
             w.last_exit = ExitStatus::NonZero;
             out.push(w);
         }
-        self.account_branch("spec", span.line, cases.len(), out.len(), out.last());
+        self.account_branch("spec", span.line, n_cases, out.len(), out.last());
         self.cap(out, span)
     }
 
@@ -1623,8 +1663,8 @@ impl Engine {
                 }
             }
             Effect::ChangesCwdTo(m) => {
-                if let Some(idx) = operand_indices(*m, cs.inv.operands.len()).first() {
-                    if let Some(v) = cs.operands.get(*idx) {
+                if let Some(idx) = operand_indices(*m, cs.inv.operands.len()).next() {
+                    if let Some(v) = cs.operands.get(idx) {
                         w.cwd = v.value.clone();
                     }
                 }
@@ -1648,177 +1688,14 @@ impl Engine {
     }
 }
 
-/// The world-independent part of a simple command, built once per
-/// [`Engine::exec_simple`] call. Building it reads only the AST and the
-/// spec library: it allocates no world id and no symbol, and moves no
-/// counter.
-struct SimplePlan<'s> {
-    /// Per assignment, its value when static.
-    assigns: Vec<Option<SymStr>>,
-    /// Per word, its fields when static; empty when every word is.
-    words: Vec<Option<Vec<Field>>>,
-    /// Every field, when every word is static.
-    fields: Option<Vec<Field>>,
-    /// Per redirect, its target when static.
-    redirs: Vec<Option<PathArg>>,
-    /// The command name and what it resolves to, when static words
-    /// decide it.
-    name: Option<(String, Resolved<'s>)>,
-}
-
-impl<'s> SimplePlan<'s> {
-    fn new(specs: &'s SpecLibrary, sc: &SimpleCommand) -> SimplePlan<'s> {
-        let mut words: Vec<Option<Vec<Field>>> = sc.words.iter().map(static_fields).collect();
-        // The name is the first field; static words decide it when the
-        // first word to yield a field, and every word before it, are
-        // static.
-        let name = words
-            .iter()
-            .find(|fs| fs.as_ref().is_none_or(|fs| !fs.is_empty()))
-            .and_then(|fs| fs.as_ref()?[0].as_literal());
-        let fields = if words.iter().all(Option::is_some) {
-            Some(words.drain(..).flatten().flatten().collect::<Vec<Field>>())
-        } else {
-            None
-        };
-        let name = name.map(|n| {
-            let resolved = match (Resolved::of(specs, &n), &fields) {
-                (Resolved::Spec(spec), Some(fields)) => {
-                    // Static argv: every field is literal.
-                    let argv: Vec<String> =
-                        fields[1..].iter().filter_map(Field::as_literal).collect();
-                    Resolved::Classified(SpecCases::classify(spec, &argv, &[]))
-                }
-                (resolved, _) => resolved,
-            };
-            (n, resolved)
-        });
-        SimplePlan {
-            assigns: sc
-                .assignments
-                .iter()
-                .map(|a| static_value(&a.value))
-                .collect(),
-            words,
-            fields,
-            redirs: sc
-                .redirects
-                .iter()
-                .map(|r| static_value(&r.target).map(PathArg::new))
-                .collect(),
-            name,
-        }
-    }
-}
-
-/// What a command name resolves to, functions aside (those are
-/// per-world state and are looked up first).
-enum Resolved<'s> {
-    Builtin,
-    Rm,
-    /// A spec'd command whose argv is classified per world.
-    Spec(&'s CommandSpec),
-    /// A spec'd command with static argv, classified once; `None` when
-    /// its argv does not classify or no case applies (exit unknown).
-    Classified(Option<SpecCases<'s>>),
-    Unknown,
-}
-
-impl<'s> Resolved<'s> {
-    fn of(specs: &'s SpecLibrary, name: &str) -> Resolved<'s> {
-        if is_builtin(name) {
-            Resolved::Builtin
-        } else if name == "rm" {
-            Resolved::Rm
-        } else {
-            specs.get(name).map_or(Resolved::Unknown, Resolved::Spec)
-        }
-    }
-}
-
-/// A classified invocation of a spec'd command with the cases that
-/// apply to it.
-struct SpecCases<'s> {
-    inv: Invocation,
-    /// One per operand of `inv`: symbolic where argv had a symbolic
-    /// value.
-    operands: Vec<PathArg>,
-    cases: Vec<&'s SpecCase>,
-    /// The world-tree label of each case; empty for a single case,
-    /// which never forks.
-    labels: Vec<String>,
-}
-
-impl<'s> SpecCases<'s> {
-    /// Classifies `argv`, in which the symbolic values stand as marker
-    /// strings; `None` when it does not classify or no case applies.
-    fn classify(
-        spec: &'s CommandSpec,
-        argv: &[String],
-        symbolic: &[(String, SymStr)],
-    ) -> Option<SpecCases<'s>> {
-        let inv = spec.syntax.classify(argv).ok()?;
-        let cases: Vec<&SpecCase> = spec.applicable(&inv).collect();
-        if cases.is_empty() {
-            return None;
-        }
-        let operands = inv
-            .operands
-            .iter()
-            .map(|text| match symbolic.iter().find(|(m, _)| m == text) {
-                Some((_, v)) => PathArg::new(v.clone()),
-                None => PathArg::new(SymStr::lit(text)),
-            })
-            .collect();
-        let labels = if cases.len() > 1 {
-            cases
-                .iter()
-                .map(|case| {
-                    let outcome = match case.exit {
-                        ExitSpec::Success => "succeeds",
-                        ExitSpec::Failure => "fails",
-                        ExitSpec::Unknown => "exits either way",
-                    };
-                    format!("`{inv}` {outcome}")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Some(SpecCases {
-            inv,
-            operands,
-            cases,
-            labels,
-        })
-    }
-
-    /// The key of operand `idx` in world `w`.
-    fn key(&self, w: &mut World, idx: usize) -> Option<FsKey> {
-        self.operands.get(idx)?.key(w)
-    }
-}
-
-/// A path-valued argument, with its file-system key when that key is
-/// the same in every world (an absolute literal path).
-struct PathArg {
-    value: SymStr,
-    fixed: Option<FsKey>,
-}
-
-impl PathArg {
-    fn new(value: SymStr) -> PathArg {
-        let fixed = value.as_literal().and_then(|t| FsKey::absolute(&t));
-        PathArg { value, fixed }
-    }
-
-    /// The key in world `w`, as [`World::fs_key`] resolves it.
-    fn key(&self, w: &mut World) -> Option<FsKey> {
-        match &self.fixed {
-            Some(k) => Some(k.clone()),
-            None => w.fs_key(&self.value),
-        }
-    }
+/// The outcome of [`Engine::stream_check_pipeline`].
+#[derive(Debug, Clone)]
+pub struct StreamCheck {
+    /// Dead pipes and type mismatches, in stage order.
+    pub findings: Vec<Diagnostic>,
+    /// The final output line type; `None` when some stage cannot be
+    /// modelled.
+    pub output: Option<Regex>,
 }
 
 /// A redirection's effect on its target: output redirects create (or
@@ -1854,7 +1731,7 @@ fn node_state(req: NodeReq) -> Option<NodeState> {
 /// complementary to `want`? (Used for idempotence sensitivity: if
 /// `want` = Absent and no success case accepts an existing node, the
 /// command breaks on re-run once the node exists.)
-fn has_success_case_for_complement(cases: &[&shoal_spec::SpecCase], want: NodeState) -> bool {
+fn has_success_case_for_complement(cs: &SpecCases, want: NodeState) -> bool {
     let complement_ok = |req: &NodeReq| match want {
         NodeState::Absent => {
             matches!(
@@ -1864,11 +1741,24 @@ fn has_success_case_for_complement(cases: &[&shoal_spec::SpecCase], want: NodeSt
         }
         _ => matches!(req, NodeReq::Absent | NodeReq::Any),
     };
-    cases.iter().any(|c| {
+    cs.cases().any(|c| {
         c.exit != ExitSpec::Failure
             && c.pre
                 .iter()
                 .all(|Cond::OperandIs(_, req)| complement_ok(req))
+    })
+}
+
+/// Does a precondition on a fixed key contradict what `w` knows? Then
+/// the case cannot apply: requiring its other preconditions first only
+/// narrows the heap, so that one would still contradict.
+fn doomed(w: &World, cs: &SpecCases, case: &SpecCase) -> bool {
+    case.pre.iter().any(|Cond::OperandIs(marker, req)| {
+        node_state(*req).is_some_and(|want| {
+            operand_indices(*marker, cs.inv.operands.len())
+                .filter_map(|idx| cs.operands.get(idx)?.fixed.as_ref())
+                .any(|key| w.fs.contradicts(key, want))
+        })
     })
 }
 
@@ -1877,7 +1767,7 @@ fn has_success_case_for_complement(cases: &[&shoal_spec::SpecCase], want: NodeSt
 /// when the blocking state is an effect the script performed rather
 /// than an assumption about the initial world.
 fn first_contradiction(w: &World, cs: &SpecCases) -> Option<(String, bool)> {
-    for case in &cs.cases {
+    for case in cs.cases() {
         if case.exit == ExitSpec::Failure {
             continue;
         }

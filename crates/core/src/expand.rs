@@ -599,7 +599,7 @@ mod tests {
     use crate::engine::Engine;
     use shoal_shparse::parse_script;
 
-    fn eng() -> Engine {
+    fn eng() -> Engine<'static> {
         Engine::new(AnalysisOptions::default())
     }
 

@@ -162,7 +162,8 @@ pub fn remove_affix(
                 Affix::Prefix => constraint_dfa.left_quotient(&pat_dfa).to_regex(),
             };
             cases.push(RemovalCase {
-                result: SymStr::sym(fresh(), quotient, &format!("{label} minus affix")),
+                result: SymStr::sym(fresh(), quotient, &format!("{label} minus affix"))
+                    .concretized(),
                 source_refinement: Some(matched_originals),
                 condition: format!("{label} contains the pattern"),
             });
@@ -209,7 +210,8 @@ pub fn remove_affix(
             fresh(),
             approx,
             &format!("{} minus affix", value.describe()),
-        ),
+        )
+        .concretized(),
         source_refinement: None,
         condition: String::new(),
     }]

@@ -275,7 +275,7 @@ impl IncrSession {
             format!("{};{:?}", self.opts.canonical(), annotations).as_bytes(),
         );
 
-        let (engine, initial) = prologue(self.opts.clone(), annotations);
+        let (engine, initial) = prologue(script, self.opts.clone(), annotations);
         let mut worlds = vec![initial];
         engine.stats.note_live(worlds.len());
         let mut approx: Vec<ApproxReason> = Vec::new();

@@ -52,6 +52,7 @@ pub mod engine;
 pub mod expand;
 pub mod glob;
 pub mod incr;
+mod plan;
 pub mod provenance;
 pub mod scan;
 pub mod sniff;

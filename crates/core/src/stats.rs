@@ -94,6 +94,9 @@ pub struct EngineStats {
     pub peak_live: Cell<usize>,
     /// Where exploration hit bounds, deduplicated by (reason, line).
     pub cap_hits: RefCell<Vec<CapHit>>,
+    /// Multi-stage pipelines stream-checked: once per distinct pipeline
+    /// of the planned script, however many worlds reach it.
+    pub pipeline_checks: Cell<u64>,
 }
 
 impl EngineStats {
@@ -104,6 +107,12 @@ impl EngineStats {
             self.peak_live.set(n);
             shoal_obs::gauge_max("engine.peak_live_worlds", n as u64);
         }
+    }
+
+    /// Counts one stream check of a multi-stage pipeline.
+    pub fn note_pipeline_check(&self) {
+        self.pipeline_checks.set(self.pipeline_checks.get() + 1);
+        shoal_obs::counter_add("engine.pipeline_checks", 1);
     }
 
     /// Records a bound hit (merging repeats at the same site) and emits

@@ -164,6 +164,13 @@ impl SymStr {
         !self.may_be_empty()
     }
 
+    /// Does symbol `id` occur in the value?
+    pub fn mentions(&self, id: SymId) -> bool {
+        self.segs
+            .iter()
+            .any(|seg| matches!(seg, Seg::Sym { id: sid, .. } if *sid == id))
+    }
+
     /// The single symbol id, when the whole value is one bare symbol.
     pub fn as_single_sym(&self) -> Option<(SymId, &Regex)> {
         match self.segs.as_slice() {
@@ -210,6 +217,16 @@ impl SymStr {
         // Re-merge adjacent literals.
         let merged = SymStr::default().concat(self);
         self.segs = merged.segs;
+    }
+
+    /// The value after [`SymStr::concretize`]. Where a symbol is made
+    /// from a computed constraint that may admit one string only, this
+    /// keeps the value in the collapsed form every later refinement
+    /// expects: [`crate::world::World::refine_sym`] collapses only the
+    /// values that mention the refined symbol.
+    pub fn concretized(mut self) -> SymStr {
+        self.concretize();
+        self
     }
 
     /// A short rendering for diagnostics: literals verbatim, symbols as

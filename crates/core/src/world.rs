@@ -213,32 +213,42 @@ impl World {
     }
 
     /// Refines symbol `id` by intersecting its constraint with `with`
-    /// in every value in the world. Returns false if the world becomes
-    /// infeasible.
+    /// in every value in the world that mentions it, collapsing the
+    /// values it pins to one string ([`SymStr::concretize`]). Returns
+    /// false if the world becomes infeasible. Containers holding no
+    /// such value stay shared with the world's fork siblings.
     pub fn refine_sym(&mut self, id: SymId, with: &Regex) -> bool {
         let mut ok = true;
-        // Refinement rewrites values in place, so these go through the
-        // COW write path (copying each container once if shared).
-        for v in self.vars.to_mut().values_mut() {
+        let mut refine = |v: &mut SymStr| {
             ok &= v.refine_sym(id, with);
             v.concretize();
+        };
+        if self.vars.values().any(|v| v.mentions(id)) {
+            self.vars
+                .to_mut()
+                .values_mut()
+                .filter(|v| v.mentions(id))
+                .for_each(&mut refine);
         }
-        for v in self.positional.to_mut().iter_mut() {
-            ok &= v.refine_sym(id, with);
-            v.concretize();
+        if self.positional.iter().any(|v| v.mentions(id)) {
+            self.positional
+                .to_mut()
+                .iter_mut()
+                .filter(|v| v.mentions(id))
+                .for_each(&mut refine);
         }
-        for v in self.lazy_positional.to_mut().values_mut() {
-            ok &= v.refine_sym(id, with);
-            v.concretize();
+        if self.lazy_positional.values().any(|v| v.mentions(id)) {
+            self.lazy_positional
+                .to_mut()
+                .values_mut()
+                .filter(|v| v.mentions(id))
+                .for_each(&mut refine);
         }
-        ok &= self.script_name.refine_sym(id, with);
-        self.script_name.concretize();
-        ok &= self.cwd.refine_sym(id, with);
-        self.cwd.concretize();
-        if let Some(c) = self.capture.as_mut() {
-            ok &= c.refine_sym(id, with);
-            c.concretize();
-        }
+        [&mut self.script_name, &mut self.cwd]
+            .into_iter()
+            .chain(self.capture.as_mut())
+            .filter(|v| v.mentions(id))
+            .for_each(refine);
         ok
     }
 
@@ -440,6 +450,30 @@ mod tests {
             w.get_var("A").unwrap().as_literal().as_deref(),
             Some("/home")
         );
+        assert_eq!(
+            w.get_var("B").unwrap().as_literal().as_deref(),
+            Some("x-/home")
+        );
+    }
+
+    #[test]
+    fn refine_leaves_unrelated_containers_shared() {
+        let mut w = World::initial();
+        let p = w.fresh_sym(Regex::parse_must("(/|/home)"), "$p");
+        let (id, _) = p.as_single_sym().unwrap();
+        w.set_var("A", SymStr::lit("a"));
+        w.positional = vec![p.clone()].into();
+        let sibling = w.clone();
+        assert!(w.refine_sym(id, &Regex::lit("/").complement()));
+        // No variable mentions the symbol: the map is not copied.
+        assert!(w.vars.ptr_eq(&sibling.vars));
+        assert_eq!(w.positional[0].as_literal().as_deref(), Some("/home"));
+        assert_eq!(sibling.positional[0], p);
+        // A variable that mentions it is rewritten.
+        w.set_var("B", SymStr::lit("x-").concat(&p));
+        let before = w.clone();
+        assert!(w.refine_sym(id, &Regex::lit("/").complement()));
+        assert!(!w.vars.ptr_eq(&before.vars));
         assert_eq!(
             w.get_var("B").unwrap().as_literal().as_deref(),
             Some("x-/home")

@@ -7,13 +7,17 @@
 //! brings back per-world work the engine now does once per command
 //! fails here before it shows up in a timing.
 //!
+//! A work test next to them pins what planning saves: a pipeline is
+//! stream-checked once per analysis, however many worlds reach it.
+//!
 //! The relang memo is flushed before each measured analysis, as in a
 //! fresh `shoal analyze` process, and the same analysis runs once
 //! unmeasured to build the per-process tables it reaches; the counts
 //! are then exact and repeatable.
 
-use shoal_core::{analyze_source_with, AnalysisOptions};
-use shoal_corpus::{generate_corpus, scale};
+use shoal_core::engine::Engine;
+use shoal_core::{analyze_source_with, AnalysisOptions, World};
+use shoal_corpus::scale;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,16 +65,16 @@ fn allocations(src: &str) -> u64 {
     after - before
 }
 
-/// The first 15 scripts of the seed-1 labeled corpus as one script, the
-/// shape of the benchmark's shortest concatenations.
-fn concatenation() -> String {
+/// Five independent existence tests fork 32 live worlds, and each of
+/// them then runs two Fig. 5-style pipelines inside `$(…)`.
+fn pipelines_on_forked_worlds() -> String {
     let mut src = String::from("#!/bin/sh\n");
-    for s in generate_corpus(40, 1).iter().take(15) {
-        for line in s.script.lines().filter(|l| !l.starts_with("#!")) {
-            src.push_str(line);
-            src.push('\n');
-        }
+    for d in ["a", "b", "c", "d", "e"] {
+        src.push_str(&format!("test -e /srv/{d} && echo {d}\n"));
     }
+    src.push_str("release=\"$(lsb_release -a | grep '^desc' | cut -f 2)\"\n");
+    src.push_str("codename=\"$(lsb_release -a | grep '^Codename' | cut -f 2)\"\n");
+    src.push_str("echo \"$release\" \"$codename\"\n");
     src
 }
 
@@ -91,10 +95,38 @@ fn assert_budget(name: &str, src: &str, ceiling: u64) {
 
 #[test]
 fn cold_analyses_stay_within_their_allocation_budgets() {
-    // Each ceiling is the count when simple commands first ran once per
-    // live-world set, plus 25%. Before that change, with file-system
-    // keys that owned their component strings, the counts were 88,598
-    // and 289,007.
-    assert_budget("straight_line(200)", &scale::straight_line(200), 40_764);
-    assert_budget("concatenation of 15", &concatenation(), 179_157);
+    // Each ceiling is the count when commands and pipelines were first
+    // planned once per analysis, plus 25%. Before that change the
+    // counts were 32,611, 143,315 and 23,980; before simple commands
+    // ran once per live-world set, with file-system keys that owned
+    // their component strings, the first two were 88,598 and 289,007.
+    assert_budget("straight_line(200)", &scale::straight_line(200), 38_584);
+    assert_budget("concatenation of 15", &scale::concatenation(15), 133_882);
+    assert_budget(
+        "pipelines on forked worlds",
+        &pipelines_on_forked_worlds(),
+        17_784,
+    );
+}
+
+#[test]
+fn each_distinct_pipeline_is_stream_checked_once() {
+    let src = pipelines_on_forked_worlds();
+    let script = shoal_shparse::parse_script(&src).expect("script parses");
+    let planned = Engine::for_script(AnalysisOptions::default(), &script);
+    let worlds = planned.exec_items(vec![World::initial()], &script.items);
+    assert_eq!(worlds.len(), 32);
+    assert_eq!(planned.stats.pipeline_checks.get(), 2);
+    // Without the plan table every world checks both pipelines, and
+    // reports the same findings.
+    let unplanned = Engine::new(AnalysisOptions::default());
+    let again = unplanned.exec_items(vec![World::initial()], &script.items);
+    assert_eq!(unplanned.stats.pipeline_checks.get(), 2 * 32);
+    let findings = |ws: &[World]| -> Vec<String> {
+        ws.iter()
+            .flat_map(|w| w.diags.iter().map(|d| d.to_string()))
+            .collect()
+    };
+    assert_eq!(findings(&worlds), findings(&again));
+    assert!(findings(&worlds).iter().any(|d| d.contains("[dead-pipe]")));
 }

@@ -26,6 +26,21 @@ fn var_annotation_discharges_danger() {
 }
 
 #[test]
+fn var_annotation_admitting_one_string_is_that_string() {
+    // The value is pinned where it is made, not at the first refinement
+    // of some other symbol: the case labels of the first command that
+    // reads it name the path.
+    let report = analyze_source("#@ var X : /opt\ncat \"$X/a\"\n").unwrap();
+    let labels: Vec<&str> = report
+        .world_tree
+        .nodes
+        .iter()
+        .map(|n| n.constraint.as_str())
+        .collect();
+    assert!(labels.contains(&"`cat /opt/a` succeeds"), "{labels:?}");
+}
+
+#[test]
 fn cmd_annotation_types_unknown_pipeline_stage() {
     // `mystery-gen` has no spec; without an annotation the pipeline is
     // untypable and no dead pipe can be found.

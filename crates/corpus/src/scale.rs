@@ -73,6 +73,21 @@ pub fn loopy(n: usize) -> String {
     out
 }
 
+/// The first `n` scripts of the seed-1 labeled corpus (40 per class)
+/// as one script: the shape of a long real script, with command
+/// substitutions, multi-stage pipelines and functions run on many live
+/// worlds.
+pub fn concatenation(n: usize) -> String {
+    let mut out = String::from("#!/bin/sh\n");
+    for s in crate::generate_corpus(40, 1).iter().take(n) {
+        for line in s.script.lines().filter(|l| !l.starts_with("#!")) {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

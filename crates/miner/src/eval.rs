@@ -55,7 +55,7 @@ pub fn predict(spec: &CommandSpec, flags: &[char], states: &[OperandState]) -> O
     );
     for case in spec.applicable(&inv) {
         let pre_ok = case.pre.iter().all(|Cond::OperandIs(marker, req)| {
-            operand_indices(*marker, states.len()).iter().all(|&i| {
+            operand_indices(*marker, states.len()).all(|i| {
                 matches!(
                     (req, states.get(i)),
                     (NodeReq::Any, _)

@@ -89,20 +89,21 @@ pub fn take_approx_hits() -> Vec<ApproxReason> {
     APPROX_HITS.with(|h| std::mem::take(&mut *h.borrow_mut()))
 }
 
-/// Number of approximation events currently buffered on this thread
-/// (a capture mark for the memo layer).
-pub(crate) fn approx_hits_len() -> usize {
-    APPROX_HITS.with(|h| h.borrow().len())
+/// Runs `compute` and returns its value with the approximation events
+/// it recorded. The events also stay in this thread's buffer, exactly
+/// as they would uncaptured; a cache that reuses the value replays
+/// them with [`replay_approx_hits`] on every reuse, so a cached
+/// ⊤-approximation never loses its incompleteness mark.
+pub fn capture_approx_hits<T>(compute: impl FnOnce() -> T) -> (T, Vec<ApproxReason>) {
+    let mark = APPROX_HITS.with(|h| h.borrow().len());
+    let value = compute();
+    let hits = APPROX_HITS.with(|h| h.borrow().get(mark..).unwrap_or_default().to_vec());
+    (value, hits)
 }
 
-/// The approximation events recorded after capture mark `mark`.
-pub(crate) fn approx_hits_since(mark: usize) -> Vec<ApproxReason> {
-    APPROX_HITS.with(|h| h.borrow().get(mark..).unwrap_or_default().to_vec())
-}
-
-/// Re-records previously captured approximation events, as a memo hit
-/// must replay the incompleteness marks of the computation it reuses.
-pub(crate) fn replay_approx_hits(hits: &[ApproxReason]) {
+/// Re-records previously captured approximation events (see
+/// [`capture_approx_hits`]).
+pub fn replay_approx_hits(hits: &[ApproxReason]) {
     if hits.is_empty() {
         return;
     }

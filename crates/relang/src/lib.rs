@@ -56,7 +56,8 @@ pub use ast::Regex;
 pub use class::ByteClass;
 pub use deriv::DerivMatcher;
 pub use dfa::{
-    dfa_state_cap, set_dfa_state_cap, take_approx_hits, ApproxReason, Dfa, DEFAULT_DFA_STATE_CAP,
+    capture_approx_hits, dfa_state_cap, replay_approx_hits, set_dfa_state_cap, take_approx_hits,
+    ApproxReason, Dfa, DEFAULT_DFA_STATE_CAP,
 };
 pub use memo::{memo_flush, set_memo_enabled, TermId, INTERN_CAP};
 pub use nfa::Nfa;

@@ -183,9 +183,7 @@ pub fn intern(r: &Regex) -> TermId {
 /// they can be replayed on later cache hits. The live events stay in
 /// the thread's approx-hit buffer exactly as they would uncached.
 fn compute_capturing<T>(compute: impl FnOnce() -> T) -> Cached<T> {
-    let mark = crate::dfa::approx_hits_len();
-    let value = compute();
-    let approx = crate::dfa::approx_hits_since(mark);
+    let (value, approx) = crate::dfa::capture_approx_hits(compute);
     Cached { value, approx }
 }
 

@@ -29,12 +29,12 @@ pub const REST: usize = usize::MAX - 1;
 
 /// Expands an operand marker to the concrete indices it denotes for an
 /// invocation with `count` operands.
-pub fn operand_indices(marker: usize, count: usize) -> Vec<usize> {
+pub fn operand_indices(marker: usize, count: usize) -> std::ops::Range<usize> {
     match marker {
-        EACH => (0..count).collect(),
-        REST => (1..count).collect(),
-        i if i < count => vec![i],
-        _ => Vec::new(),
+        EACH => 0..count,
+        REST => 1.min(count)..count,
+        i if i < count => i..i + 1,
+        _ => 0..0,
     }
 }
 

@@ -22,14 +22,16 @@ use std::sync::{Arc, LazyLock};
 /// The queryable spec library.
 ///
 /// A copy-on-write value: clones share one map, and [`Self::insert`]
-/// copies it first if another clone still holds it. Every
+/// copies it first if another clone still holds it. Each spec sits
+/// behind its own `Arc`, so that copy is shallow and a caller can keep
+/// a spec ([`Self::shared`]) without borrowing the library. Every
 /// [`Self::builtin`] call hands out the same process-wide build, so an
 /// analysis pays a refcount bump for it, not a rebuild; a caller that
 /// customizes its library (mined specs in place of hand-written ones)
 /// gets a private copy and changes no other analysis.
 #[derive(Debug, Clone, Default)]
 pub struct SpecLibrary {
-    specs: Arc<BTreeMap<String, CommandSpec>>,
+    specs: Arc<BTreeMap<String, Arc<CommandSpec>>>,
 }
 
 /// The built-in library, built on first use.
@@ -54,12 +56,18 @@ impl SpecLibrary {
 
     /// Adds or replaces a spec (in this library only).
     pub fn insert(&mut self, spec: CommandSpec) {
-        Arc::make_mut(&mut self.specs).insert(spec.name().to_string(), spec);
+        Arc::make_mut(&mut self.specs).insert(spec.name().to_string(), Arc::new(spec));
     }
 
     /// Looks up a utility by name.
     pub fn get(&self, name: &str) -> Option<&CommandSpec> {
-        self.specs.get(name)
+        self.specs.get(name).map(|spec| &**spec)
+    }
+
+    /// Looks up a utility by name, as a handle that outlives the
+    /// library borrow.
+    pub fn shared(&self, name: &str) -> Option<Arc<CommandSpec>> {
+        self.specs.get(name).cloned()
     }
 
     /// All specified utility names, sorted.
@@ -876,11 +884,13 @@ mod tests {
     #[test]
     fn operand_marker_expansion() {
         use crate::hoare::operand_indices;
-        assert_eq!(operand_indices(EACH, 3), vec![0, 1, 2]);
-        assert_eq!(operand_indices(REST, 3), vec![1, 2]);
-        assert_eq!(operand_indices(REST, 1), Vec::<usize>::new());
-        assert_eq!(operand_indices(1, 3), vec![1]);
-        assert_eq!(operand_indices(5, 3), Vec::<usize>::new());
+        let indices = |marker, count| operand_indices(marker, count).collect::<Vec<usize>>();
+        assert_eq!(indices(EACH, 3), vec![0, 1, 2]);
+        assert_eq!(indices(REST, 3), vec![1, 2]);
+        assert_eq!(indices(REST, 1), Vec::<usize>::new());
+        assert_eq!(indices(REST, 0), Vec::<usize>::new());
+        assert_eq!(indices(1, 3), vec![1]);
+        assert_eq!(indices(5, 3), Vec::<usize>::new());
     }
 
     #[test]

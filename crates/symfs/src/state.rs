@@ -227,6 +227,15 @@ impl SymFs {
         }
     }
 
+    /// Would [`SymFs::require`] of `state` at `key` report a
+    /// contradiction? Read-only: a caller can rule a requirement out
+    /// before it copies a heap to try it. Exact: `require` also fails
+    /// when an ancestor cannot be a directory, but by the tree axioms
+    /// the node is then already absent itself.
+    pub fn contradicts(&self, key: &FsKey, state: NodeState) -> bool {
+        self.lookup(key).is_some_and(|known| !known.compatible(state))
+    }
+
     /// Ancestors of an existing node must be directories. Every
     /// ancestor ends up with an entry of its own, even one that was
     /// already a directory only because a known child exists: which

@@ -268,3 +268,46 @@ fn join_over_approximates_both_sides() {
     let joined = joined_cases.get();
     assert!(joined > 50, "only {joined} joinable cases");
 }
+
+fn node_state(g: &mut Gen) -> NodeState {
+    *g.pick(&[
+        NodeState::File,
+        NodeState::Dir,
+        NodeState::Exists,
+        NodeState::Absent,
+    ])
+}
+
+#[test]
+fn contradicts_predicts_require_exactly() {
+    run_cases("contradicts_predicts_require_exactly", 512, |g| {
+        let ops = g.vec_of(0..16, op);
+        let mut fs = SymFs::new();
+        for o in &ops {
+            apply(&mut fs, o);
+        }
+        let key = FsKey::absolute(&abs_key_path(g)).unwrap();
+        let want = node_state(g);
+        let predicted = fs.contradicts(&key, want);
+        let outcome = fs.clone().require(&key, want);
+        assert_eq!(
+            predicted,
+            !outcome.ok(),
+            "contradicts({key}, {want}) = {predicted}, require = {outcome:?}, ops = {ops:?}"
+        );
+        // Requiring other states first only narrows the heap, so a
+        // predicted contradiction survives them (what lets the engine
+        // rule a spec case out before trying its other preconditions).
+        if predicted {
+            let mut narrowed = fs.clone();
+            for _ in 0..g.usize(0..4) {
+                let other = FsKey::absolute(&abs_key_path(g)).unwrap();
+                let _ = narrowed.require(&other, node_state(g));
+            }
+            assert!(
+                !narrowed.require(&key, want).ok(),
+                "contradiction at {key} ({want}) lost after other requirements, ops = {ops:?}"
+            );
+        }
+    });
+}
