@@ -153,9 +153,6 @@ ANALYZE/CHECK OPTIONS:
                                 sarif is SARIF 2.1.0 with codeFlows)
     --emit-world-tree FILE      write the explored world tree (.dot ->
                                 GraphViz, .json -> JSON, else both)
-    --incremental               statement-level incremental engine
-                                (byte-identical output; same daemon
-                                cache key as a plain analyze)
 
 SCAN OPTIONS:
     --format text|json          output format (default text)
@@ -282,14 +279,12 @@ fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
     let mut format = OutputFormat::Text;
     let mut tree_file: Option<String> = None;
     let mut use_daemon = false;
-    let mut incremental = false;
     let mut socket: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--daemon" => use_daemon = true,
-            "--incremental" => incremental = true,
             "--socket" => {
                 i += 1;
                 let Some(s) = args.get(i) else {
@@ -345,7 +340,6 @@ fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
     }
     let opts = shoal_core::AnalysisOptions {
         profile: obs.profile,
-        incremental,
         ..shoal_core::AnalysisOptions::default()
     };
     let mut worst = ExitCode::SUCCESS;

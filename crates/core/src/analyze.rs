@@ -48,13 +48,6 @@ pub struct AnalysisOptions {
     /// default; the disabled path records nothing, allocates nothing,
     /// and reads no clocks (the dark-path discipline).
     pub audit: bool,
-    /// Route the analysis through the statement-level incremental
-    /// engine ([`crate::incr`]). A *strategy* switch, not a semantic
-    /// one: the incremental path is required to produce a report body
-    /// byte-identical to the cold path, so — like `profile` and
-    /// `audit` — it is excluded from [`AnalysisOptions::canonical`]
-    /// and never forks the daemon cache keyspace.
-    pub incremental: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -68,7 +61,6 @@ impl Default for AnalysisOptions {
             fuel: None,
             deadline: None,
             audit: false,
-            incremental: false,
         }
     }
 }
@@ -86,11 +78,10 @@ impl AnalysisOptions {
     /// runs profiled requests in-process instead). `audit` is excluded
     /// for the same reason: the coverage map is a side channel that
     /// never enters the serialized report body, so the daemon can audit
-    /// every miss without forking the cache keyspace. `incremental` is
-    /// excluded because it is a strategy switch with a byte-identity
-    /// obligation: the incremental engine must produce the same report
-    /// body the cold engine would, so caching the two under one key is
-    /// correct by construction.
+    /// every miss without forking the cache keyspace. The incremental
+    /// engine ([`crate::incr::IncrSession`]) needs no option at all: it
+    /// must produce the report body the cold engine would, so the two
+    /// share one key by construction.
     ///
     /// A `deadline` *is* part of the key even though its effect is
     /// timing-dependent: a cached deadline-capped report replays the
@@ -421,12 +412,6 @@ pub fn analyze_source(src: &str) -> Result<AnalysisReport, ParseError> {
 ///
 /// Returns the parse error if the source is not valid shell.
 pub fn analyze_source_with(src: &str, opts: AnalysisOptions) -> Result<AnalysisReport, ParseError> {
-    if opts.incremental {
-        // Strategy switch: the incremental engine owns its own parse
-        // timing and annotation recovery, and is obligated to return a
-        // byte-identical report body.
-        return crate::incr::analyze_source_incremental(src, opts);
-    }
     let t_parse = Instant::now();
     let script = {
         let _span = shoal_obs::span!("parse");
@@ -646,26 +631,6 @@ mod tests {
         assert_eq!(profiled.canonical(), base.canonical());
         let audited = AnalysisOptions { audit: true, ..base.clone() };
         assert_eq!(audited.canonical(), base.canonical());
-        // `incremental` is a strategy switch under a byte-identity
-        // obligation — enabling it must never fork the daemon cache
-        // keyspace.
-        let incremental = AnalysisOptions { incremental: true, ..base.clone() };
-        assert_eq!(incremental.canonical(), base.canonical());
-    }
-
-    #[test]
-    fn incremental_flag_routes_to_the_incremental_engine_byte_identically() {
-        let cold = analyze_source(FIG1).expect("valid script");
-        let incr = analyze_source_with(
-            FIG1,
-            AnalysisOptions { incremental: true, ..AnalysisOptions::default() },
-        )
-        .expect("valid script");
-        assert_eq!(cold.diagnostics, incr.diagnostics);
-        assert_eq!(cold.terminal_worlds, incr.terminal_worlds);
-        assert_eq!(cold.worlds_explored, incr.worlds_explored);
-        assert_eq!(cold.cap_hits, incr.cap_hits);
-        assert_eq!(cold.world_tree, incr.world_tree);
     }
 
     #[test]

@@ -69,45 +69,6 @@ impl AuditRecorder {
         *e = e.saturating_add(n);
     }
 
-    /// Rewrites every line coordinate through `map` — used by the
-    /// incremental engine ([`crate::incr`]) when a replayed checkpoint
-    /// must shift to the edited script's layout. Command sites carry
-    /// structured lines; loss sites use the engine's uniform `line N`
-    /// site strings, which are parsed back, remapped, and re-rendered.
-    /// Returns `false` (recorder contents unspecified) when a
-    /// coordinate does not map or a loss site is not line-shaped; the
-    /// caller must then discard this recorder and fall back.
-    pub fn relocate_lines(&mut self, map: &dyn Fn(u32) -> Option<u32>) -> bool {
-        let mut commands = BTreeMap::new();
-        for (name, rec) in std::mem::take(&mut self.commands) {
-            let mut lines = BTreeSet::new();
-            for l in rec.lines {
-                match map(l) {
-                    Some(n) => {
-                        lines.insert(n);
-                    }
-                    None => return false,
-                }
-            }
-            commands.insert(name, CmdRec { has_spec: rec.has_spec, lines });
-        }
-        self.commands = commands;
-        let mut losses = BTreeMap::new();
-        for ((cause, site), n) in std::mem::take(&mut self.losses) {
-            let new_site = match site.strip_prefix("line ") {
-                Some(rest) => match rest.parse::<u32>().ok().and_then(map) {
-                    Some(nl) => format!("line {nl}"),
-                    None => return false,
-                },
-                None => return false,
-            };
-            let e = losses.entry((cause, new_site)).or_insert(0u64);
-            *e = e.saturating_add(n);
-        }
-        self.losses = losses;
-        true
-    }
-
     /// Finalizes into a single-script [`CoverageMap`]: checker firing
     /// counts come from the final deduplicated diagnostics (via their
     /// `checker:<id>` origin tags), and every unspecced call site

@@ -67,7 +67,7 @@ pub use analyze::{
 pub use annotations::{parse_annotations, AnnotationError, Annotations};
 pub use audit::{AuditRecorder, AuditReport, MissingSpec};
 pub use diag::{DiagCode, Diagnostic, Severity};
-pub use incr::{analyze_source_incremental, IncrSession, IncrStats};
+pub use incr::{IncrSession, IncrStats};
 pub use provenance::{
     Provenance, TrailEntry, TrailKind, WorldId, WorldNode, WorldOutcome, WorldTree,
 };

@@ -169,14 +169,13 @@ fn profile_phases_fit_in_total_on_every_path() {
         profile: true,
         ..AnalysisOptions::default()
     };
-    let incremental = AnalysisOptions {
-        incremental: true,
-        ..opts.clone()
-    };
     let reports = [
         ("cold", analyze_source_with(figures::FIG1, opts.clone()).unwrap()),
-        ("resilient", shoal_core::analyze_source_resilient(figures::FIG1, opts)),
-        ("incremental", analyze_source_with(figures::FIG1, incremental).unwrap()),
+        ("resilient", shoal_core::analyze_source_resilient(figures::FIG1, opts.clone())),
+        (
+            "incremental",
+            shoal_core::IncrSession::new(opts).analyze(figures::FIG1).unwrap(),
+        ),
     ];
     for (path, report) in reports {
         let p = report.profile.expect("profile requested");

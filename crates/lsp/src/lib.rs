@@ -223,8 +223,8 @@ impl<W: Write> Server<W> {
     }
 
     /// The daemon's content-addressed key for this text under the
-    /// server's options — `incremental` is excluded from the canonical
-    /// options string, so editor, CLI, and daemon share entries.
+    /// server's options — the session's report is byte-identical to a
+    /// cold analysis, so editor, CLI, and daemon share entries.
     fn key_for(&self, text: &str, resilient: bool) -> String {
         cache_key(&KeyParts {
             source: text,

@@ -257,30 +257,6 @@ if [ "$chaos_fail" = 1 ]; then
     exit 1
 fi
 
-# Incremental gate: `--incremental` is a pure strategy switch — the
-# statement-replay engine must produce output byte-identical to a cold
-# analyze (same exit code, same bytes, text and JSON) over the whole
-# example corpus. Any divergence means a summary was replayed when the
-# fingerprint should have forced re-execution.
-echo "==> incremental: analyze --incremental vs cold byte-equality over examples/"
-incr_fail=0
-for f in examples/*.sh; do
-    for fmt in text json; do
-        cold_code=0
-        incr_code=0
-        target/release/shoal analyze --format "$fmt" "$f" > /tmp/incr_cold.$$ 2>/dev/null || cold_code=$?
-        target/release/shoal analyze --incremental --format "$fmt" "$f" > /tmp/incr_warm.$$ 2>/dev/null || incr_code=$?
-        if [ "$cold_code" != "$incr_code" ] || ! cmp -s /tmp/incr_cold.$$ /tmp/incr_warm.$$; then
-            echo "FAIL: --incremental output/exit differs from cold analyze on $f ($fmt)"
-            incr_fail=1
-        fi
-    done
-done
-rm -f /tmp/incr_cold.$$ /tmp/incr_warm.$$
-if [ "$incr_fail" = 1 ]; then
-    exit 1
-fi
-
 # LSP smoke gate: drive a complete editor session over stdio —
 # initialize, didOpen Fig. 1, a didChange appending a comment, then a
 # clean shutdown/exit. The server must publish diagnostics for both

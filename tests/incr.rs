@@ -102,20 +102,66 @@ fn loop_heavy_scripts_replay_their_prefix() {
 }
 
 #[test]
-fn comment_and_blank_line_edits_execute_nothing() {
+fn comment_and_blank_line_edits_execute_only_the_statements_below() {
     let base = figures::FIG2;
     let mut session = IncrSession::new(AnalysisOptions::default());
     check(&mut session, base);
-    // Insert a comment + blank line after the shebang: statement
-    // content hashes are unchanged, spans shift; relocation (not
-    // re-execution) must absorb the edit — and the published spans
-    // must still match a cold analysis of the shifted text.
-    let shifted = base.replacen("#!/bin/sh\n", "#!/bin/sh\n# reviewed 2026-08\n\n", 1);
+    // Insert a comment + blank line after the first statement: the
+    // statement above the edit replays, every statement below it moved
+    // and re-executes — and the published spans still match a cold
+    // analysis of the shifted text.
+    let first_end = base.match_indices('\n').nth(1).expect("shebang + first statement").0 + 1;
+    let shifted = format!("{}# reviewed 2026-08\n\n{}", &base[..first_end], &base[first_end..]);
     let executed = check(&mut session, &shifted);
-    assert_eq!(
-        executed, 0,
-        "whitespace/comment-only edit re-executed {executed} stmt(s)"
-    );
+    assert_eq!(session.stats.last_replayed, 1, "the statement above the edit must replay");
+    assert_eq!(executed, 1, "the `if` below the edit moved and must re-execute");
+}
+
+#[test]
+fn whitespace_inside_a_statement_reexecutes_it() {
+    // `rm  -rf` at the same offset: canonical text is unchanged, raw
+    // text is not, and the spans inside the statement moved.
+    let base = "rm -rf \"$d/\"*\necho done\n";
+    let mut session = IncrSession::new(AnalysisOptions::default());
+    check(&mut session, base);
+    let executed = check(&mut session, &base.replacen("rm -rf", "rm  -rf", 1));
+    assert_eq!(session.stats.last_replayed, 0, "a statement whose raw text changed must not replay");
+    assert_eq!(executed, 2);
+}
+
+#[test]
+fn a_statement_replays_only_under_the_prefix_layout_it_was_recorded_with() {
+    // `echo b` is recorded after `rm` on line 1, and the later summary
+    // for `rm` on line 2 does not replace it. In the last version
+    // `echo b` sits at its recorded offset and line again, but its
+    // checkpoint still holds the `rm` finding at line 1: it must
+    // re-execute.
+    let rm = "rm -rf \"$d/\"*";
+    let mut session = IncrSession::new(AnalysisOptions::default());
+    check(&mut session, &format!("{rm}\n\necho b\n"));
+    check(&mut session, &format!("\n{rm}\n"));
+    let executed = check(&mut session, &format!("\n{rm}\necho b\n"));
+    assert_eq!(session.stats.last_replayed, 1);
+    assert_eq!(executed, 1);
+}
+
+#[test]
+fn every_example_replays_byte_identically() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    let mut scripts: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/ exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sh"))
+        .collect();
+    scripts.sort();
+    assert!(!scripts.is_empty(), "no examples/*.sh found");
+    for path in scripts {
+        let src = std::fs::read_to_string(&path).expect("readable example");
+        let mut session = IncrSession::new(AnalysisOptions::default());
+        check(&mut session, &src);
+        let executed = check(&mut session, &src);
+        assert_eq!(executed, 0, "{}: second pass re-executed {executed} stmt(s)", path.display());
+    }
 }
 
 #[test]
