@@ -7,6 +7,7 @@
 //! disabling concrete pruning; E6 compares monomorphic and polymorphic
 //! stream types through `shoal-streamty` directly).
 
+use crate::annotations::Annotations;
 use crate::diag::{DiagCode, Diagnostic};
 use crate::engine::Engine;
 use crate::provenance::WorldTree;
@@ -153,41 +154,71 @@ impl AnalysisReport {
 
 /// Analyzes a parsed script (no annotations).
 pub fn analyze_script(script: &Script, opts: AnalysisOptions) -> AnalysisReport {
-    analyze_script_annotated(script, opts, crate::annotations::Annotations::default())
+    analyze_script_annotated(script, opts, Annotations::default())
 }
 
 /// Analyzes a parsed script with inline annotations in effect.
 pub fn analyze_script_annotated(
     script: &Script,
     opts: AnalysisOptions,
-    annotations: crate::annotations::Annotations,
+    annotations: Annotations,
 ) -> AnalysisReport {
-    analyze_timed(script, opts, annotations, Instant::now())
+    analyze_timed(script, opts, annotations, 0, Instant::now())
 }
 
-/// [`analyze_script_annotated`] with the setup clock started at
-/// `t_setup`, so a caller that parsed the annotations itself charges
-/// that work to [`ProfileReport::setup_us`] too.
+/// [`analyze_script_annotated`] for a script parsed in `parse_us`,
+/// with the setup clock started at `t_setup`, so a caller that read
+/// the annotations itself charges that work to
+/// [`ProfileReport::setup_us`] too.
 pub(crate) fn analyze_timed(
     script: &Script,
     opts: AnalysisOptions,
-    annotations: crate::annotations::Annotations,
+    annotations: Annotations,
+    parse_us: u64,
     t_setup: Instant,
 ) -> AnalysisReport {
     let (engine, initial) = prologue(script, opts, annotations);
     let t_start = Instant::now();
     let setup_us = (t_start - t_setup).as_micros() as u64;
-    let worlds = {
-        let _span = shoal_obs::span!("exec_items");
-        engine.exec_items(vec![initial], &script.items)
-    };
+    let worlds = engine.exec_items(vec![initial], &script.items);
     let exec_us = t_start.elapsed().as_micros() as u64;
     // A relang DFA construction that hit its state cap during this
     // analysis over-approximated some constraint answer; drained here
     // so finalization can surface it (the incremental engine instead
     // drains per statement and accumulates across replays).
     let approx = shoal_relang::take_approx_hits();
-    finalize(&engine, worlds, approx, setup_us, t_start, exec_us)
+    finalize(&engine, worlds, approx, [parse_us, setup_us, exec_us], t_start)
+}
+
+/// Runs `parse` and charges its wall time to the `parse` phase;
+/// returns the result with that time in microseconds, for
+/// [`ProfileReport::parse_us`]. The one parse front end of the strict,
+/// resilient and incremental entry points.
+pub(crate) fn timed_parse<T>(parse: impl FnOnce() -> T) -> (T, u64) {
+    let t_parse = Instant::now();
+    let parsed = parse();
+    let parse_us = t_parse.elapsed().as_micros() as u64;
+    shoal_obs::trace::phase_add("parse", parse_us);
+    (parsed, parse_us)
+}
+
+/// Reads the `#@` annotations of `src`. A malformed annotation must
+/// not hide the analysis: the script then runs un-annotated, and the
+/// returned note (an [`DiagCode::AnalysisIncomplete`] naming the bad
+/// line) goes first in the report.
+pub(crate) fn read_annotations(src: &str) -> (Annotations, Option<Diagnostic>) {
+    match crate::annotations::parse_annotations(src) {
+        Ok(annotations) => (annotations, None),
+        Err(e) => {
+            let note = Diagnostic::new(
+                DiagCode::AnalysisIncomplete,
+                crate::diag::Severity::Note,
+                shoal_shparse::Span::new(0, 0, e.line),
+                e.to_string(),
+            );
+            (Annotations::default(), Some(note))
+        }
+    }
 }
 
 /// Sets up one analysis: clears stale thread-local approximation
@@ -199,7 +230,7 @@ pub(crate) fn analyze_timed(
 pub(crate) fn prologue(
     script: &Script,
     opts: AnalysisOptions,
-    annotations: crate::annotations::Annotations,
+    annotations: Annotations,
 ) -> (Engine<'_>, World) {
     // Stale approximation events from earlier analyses on this thread
     // must not be attributed to this report.
@@ -228,20 +259,18 @@ pub(crate) fn prologue(
 /// cold and incremental paths, which is what makes the incremental
 /// engine's byte-identity guarantee hold by construction: once the
 /// world set, tree, stats, audit state, and approximation events agree,
-/// the rendered report must too. `setup_us` is everything before
-/// `t_start`, when execution began.
+/// the rendered report must too. `[parse_us, setup_us, exec_us]` are
+/// the measured front-end phases: parsing (already charged by
+/// [`timed_parse`]), everything else before `t_start`, and execution
+/// from `t_start` on. They are charged here and, when profiling, are
+/// the [`ProfileReport`]'s own rows — one measurement per phase.
 pub(crate) fn finalize(
     engine: &Engine,
     mut worlds: Vec<World>,
     approx: Vec<shoal_relang::ApproxReason>,
-    setup_us: u64,
+    [parse_us, setup_us, exec_us]: [u64; 3],
     t_start: Instant,
-    exec_us: u64,
 ) -> AnalysisReport {
-    let opts_profile = engine.opts.profile;
-    // Request-scoped tracing (the daemon's telemetry plane): charge
-    // the already-measured durations to the active trace, if any —
-    // no extra clock reads, one thread-local check when disabled.
     shoal_obs::trace::phase_add("setup", setup_us);
     shoal_obs::trace::phase_add("symexec", exec_us);
     let t_idem = Instant::now();
@@ -356,13 +385,13 @@ pub(crate) fn finalize(
         merged = stats.merged.get()
     );
     shoal_obs::counter_add("analyze.runs", 1);
-    let profile = opts_profile.then(|| ProfileReport {
-        parse_us: 0,
+    let profile = engine.opts.profile.then(|| ProfileReport {
+        parse_us,
         setup_us,
         exec_us,
         idempotence_us,
         report_us,
-        total_us: setup_us + t_start.elapsed().as_micros() as u64,
+        total_us: parse_us + setup_us + t_start.elapsed().as_micros() as u64,
         peak_live_worlds: peak_live,
         forks: stats.forks.get(),
         worlds_pruned: stats.pruned.get(),
@@ -412,39 +441,13 @@ pub fn analyze_source(src: &str) -> Result<AnalysisReport, ParseError> {
 ///
 /// Returns the parse error if the source is not valid shell.
 pub fn analyze_source_with(src: &str, opts: AnalysisOptions) -> Result<AnalysisReport, ParseError> {
-    let t_parse = Instant::now();
-    let script = {
-        let _span = shoal_obs::span!("parse");
-        parse_script(src)?
-    };
-    let parse_us = t_parse.elapsed().as_micros() as u64;
-    shoal_obs::trace::phase_add("parse", parse_us);
-    let attach_parse = |mut report: AnalysisReport| {
-        if let Some(p) = report.profile.as_mut() {
-            p.parse_us = parse_us;
-            p.total_us += parse_us;
-        }
-        report
-    };
+    let (script, parse_us) = timed_parse(|| parse_script(src));
+    let script = script?;
     let t_setup = Instant::now();
-    match crate::annotations::parse_annotations(src) {
-        Ok(annotations) => Ok(attach_parse(analyze_timed(&script, opts, annotations, t_setup))),
-        Err(e) => {
-            // A malformed annotation must not hide the analysis; report
-            // it as a note and continue un-annotated.
-            let mut report = analyze_timed(&script, opts, Default::default(), t_setup);
-            report.diagnostics.insert(
-                0,
-                Diagnostic::new(
-                    DiagCode::AnalysisIncomplete,
-                    crate::diag::Severity::Note,
-                    shoal_shparse::Span::new(0, 0, e.line),
-                    e.to_string(),
-                ),
-            );
-            Ok(attach_parse(report))
-        }
-    }
+    let (annotations, note) = read_annotations(src);
+    let mut report = analyze_timed(&script, opts, annotations, parse_us, t_setup);
+    report.diagnostics.splice(0..0, note);
+    Ok(report)
 }
 
 /// Parses with error recovery and analyzes whatever parsed; this entry
@@ -454,20 +457,11 @@ pub fn analyze_source_with(src: &str, opts: AnalysisOptions) -> Result<AnalysisR
 /// does not hide findings in the healthy remainder (the degradation
 /// invariant behind `shoal scan`).
 pub fn analyze_source_resilient(src: &str, opts: AnalysisOptions) -> AnalysisReport {
-    let t_parse = Instant::now();
-    let recovered = {
-        let _span = shoal_obs::span!("parse_recovering");
-        parse_script_recovering(src)
-    };
-    let parse_us = t_parse.elapsed().as_micros() as u64;
-    shoal_obs::trace::phase_add("parse", parse_us);
+    let (recovered, parse_us) = timed_parse(|| parse_script_recovering(src));
     let t_setup = Instant::now();
-    let annotations = crate::annotations::parse_annotations(src).unwrap_or_default();
-    let mut report = analyze_timed(&recovered.script, opts, annotations, t_setup);
-    if let Some(p) = report.profile.as_mut() {
-        p.parse_us = parse_us;
-        p.total_us += parse_us;
-    }
+    let (annotations, note) = read_annotations(src);
+    let mut report = analyze_timed(&recovered.script, opts, annotations, parse_us, t_setup);
+    report.diagnostics.splice(0..0, note);
     if !recovered.diagnostics.is_empty() {
         report.parse_partial = true;
         // Each bridged syntax error is a precision loss: statements in

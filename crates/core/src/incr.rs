@@ -53,17 +53,18 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use crate::analyze::{finalize, prologue, AnalysisOptions, AnalysisReport};
+use crate::analyze::{
+    finalize, prologue, read_annotations, timed_parse, AnalysisOptions, AnalysisReport,
+};
 use crate::annotations::Annotations;
 use crate::audit::AuditRecorder;
-use crate::diag::{DiagCode, Diagnostic, Severity};
 use crate::engine::Engine;
 use crate::provenance::WorldTree;
 use crate::stats::CapHit;
 use crate::world::World;
 use shoal_obs::hash::fnv1a64;
 use shoal_relang::ApproxReason;
-use shoal_shparse::{canonical_item, parse_script, ParseError, Script, Span};
+use shoal_shparse::{canonical_item, parse_script, ParseError, Script};
 
 /// Cumulative counters for one incremental session (also mirrored into
 /// the obs counter plane as `incr.*`).
@@ -163,47 +164,23 @@ impl IncrSession {
         self.summaries.len()
     }
 
-    /// Parses and analyzes one version of the document. Mirrors
-    /// [`crate::analyze::analyze_source_with`] exactly — same parse
-    /// spans, same malformed-annotation recovery — but serves the
-    /// execution from the summary cache where fingerprints allow.
+    /// Parses and analyzes one version of the document through the
+    /// same front end as [`crate::analyze::analyze_source_with`] (parse
+    /// timing, malformed-annotation note), but serves the execution
+    /// from the summary cache where fingerprints allow.
     ///
     /// # Errors
     ///
     /// Returns the parse error if the source is not valid shell (the
     /// LSP server falls back to resilient cold analysis in that case).
     pub fn analyze(&mut self, src: &str) -> Result<AnalysisReport, ParseError> {
-        let t_parse = Instant::now();
-        let script = {
-            let _span = shoal_obs::span!("parse");
-            parse_script(src)?
-        };
-        let parse_us = t_parse.elapsed().as_micros() as u64;
-        shoal_obs::trace::phase_add("parse", parse_us);
-        let attach_parse = |mut report: AnalysisReport| {
-            if let Some(p) = report.profile.as_mut() {
-                p.parse_us = parse_us;
-                p.total_us += parse_us;
-            }
-            report
-        };
+        let (script, parse_us) = timed_parse(|| parse_script(src));
+        let script = script?;
         let t_setup = Instant::now();
-        match crate::annotations::parse_annotations(src) {
-            Ok(annotations) => Ok(attach_parse(self.run(src, &script, annotations, t_setup))),
-            Err(e) => {
-                let mut report = self.run(src, &script, Annotations::default(), t_setup);
-                report.diagnostics.insert(
-                    0,
-                    Diagnostic::new(
-                        DiagCode::AnalysisIncomplete,
-                        Severity::Note,
-                        Span::new(0, 0, e.line),
-                        e.to_string(),
-                    ),
-                );
-                Ok(attach_parse(report))
-            }
-        }
+        let (annotations, note) = read_annotations(src);
+        let mut report = self.run(src, &script, annotations, parse_us, t_setup);
+        report.diagnostics.splice(0..0, note);
+        Ok(report)
     }
 
     /// The incremental engine proper: chain walk, frontier
@@ -216,6 +193,7 @@ impl IncrSession {
         src: &str,
         script: &Script,
         annotations: Annotations,
+        parse_us: u64,
         t_setup: Instant,
     ) -> AnalysisReport {
         self.generation += 1;
@@ -229,7 +207,8 @@ impl IncrSession {
             self.stats.last_replayed = 0;
             self.stats.last_executed = script.items.len();
             shoal_obs::counter_add("incr.fallback_full", 1);
-            return crate::analyze::analyze_timed(script, self.opts.clone(), annotations, t_setup);
+            let opts = self.opts.clone();
+            return crate::analyze::analyze_timed(script, opts, annotations, parse_us, t_setup);
         }
 
         let mut layout = 0;
@@ -295,40 +274,37 @@ impl IncrSession {
         let executed = infos.len() - replayed;
         let t_start = Instant::now();
         let setup_us = (t_start - t_setup).as_micros() as u64;
-        {
-            let _span = shoal_obs::span!("exec_items");
-            for (info, item) in infos[replayed..].iter().zip(&script.items[replayed..]) {
-                let (next, keep_going) = engine.step(worlds, item);
-                worlds = next;
-                approx.extend(shoal_relang::take_approx_hits());
-                if !keep_going {
-                    break;
-                }
-                let chk = Checkpoint {
-                    worlds: worlds.clone(),
-                    tree: engine.tree.borrow().clone(),
-                    forks: engine.stats.forks.get(),
-                    pruned: engine.stats.pruned.get(),
-                    cap_dropped: engine.stats.cap_dropped.get(),
-                    merged: engine.stats.merged.get(),
-                    peak_live: engine.stats.peak_live.get(),
-                    cap_hits: engine.stats.cap_hits.borrow().clone(),
-                    audit: engine.audit.borrow().clone(),
-                    approx: approx.clone(),
-                };
-                let fp_out = chain_fp(fp_cur, &info.canon);
-                self.summaries.insert(
-                    (info.hash, fp_cur),
-                    StmtSummary {
-                        fp_out,
-                        canon: info.canon.clone(),
-                        layout: info.layout,
-                        generation: self.generation,
-                        chk,
-                    },
-                );
-                fp_cur = fp_out;
+        for (info, item) in infos[replayed..].iter().zip(&script.items[replayed..]) {
+            let (next, keep_going) = engine.step(worlds, item);
+            worlds = next;
+            approx.extend(shoal_relang::take_approx_hits());
+            if !keep_going {
+                break;
             }
+            let chk = Checkpoint {
+                worlds: worlds.clone(),
+                tree: engine.tree.borrow().clone(),
+                forks: engine.stats.forks.get(),
+                pruned: engine.stats.pruned.get(),
+                cap_dropped: engine.stats.cap_dropped.get(),
+                merged: engine.stats.merged.get(),
+                peak_live: engine.stats.peak_live.get(),
+                cap_hits: engine.stats.cap_hits.borrow().clone(),
+                audit: engine.audit.borrow().clone(),
+                approx: approx.clone(),
+            };
+            let fp_out = chain_fp(fp_cur, &info.canon);
+            self.summaries.insert(
+                (info.hash, fp_cur),
+                StmtSummary {
+                    fp_out,
+                    canon: info.canon.clone(),
+                    layout: info.layout,
+                    generation: self.generation,
+                    chk,
+                },
+            );
+            fp_cur = fp_out;
         }
         let exec_us = t_start.elapsed().as_micros() as u64;
 
@@ -346,7 +322,7 @@ impl IncrSession {
             summaries = self.summaries.len()
         );
         self.evict();
-        finalize(&engine, worlds, approx, setup_us, t_start, exec_us)
+        finalize(&engine, worlds, approx, [parse_us, setup_us, exec_us], t_start)
     }
 
     /// Drops summaries not hit for [`KEEP_GENERATIONS`] analyses once

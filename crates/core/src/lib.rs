@@ -38,8 +38,10 @@
 /// new verdict, a different world count, a schema field): result
 /// caches key on it, so a warm start never serves a report the current
 /// engine would not produce. Epoch 2: worlds joined at statement
-/// boundaries, and the `merged` world-tree outcome.
-pub const REPORT_EPOCH: u32 = 2;
+/// boundaries, and the `merged` world-tree outcome. Epoch 3: resilient
+/// reports carry the malformed-annotation note strict ones always had,
+/// and a `#@ var` whose type admits one string starts as that literal.
+pub const REPORT_EPOCH: u32 = 3;
 
 pub mod analyze;
 pub mod annotations;

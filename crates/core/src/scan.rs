@@ -22,7 +22,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Once;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Batch-scan configuration. The defaults bound every script so one
 /// pathological input cannot stall the batch; `None` disables a budget.
@@ -580,8 +580,12 @@ pub fn scan_paths_with(
         n => n,
     };
     summary.results = shoal_obs::pool::map_indexed(jobs, &scripts, |_, (path, src)| {
-        let _span = shoal_obs::span!("scan_script");
-        scan_source_with(path, src, opts, remote)
+        // One clock pair and a charge, not a phase timer: a live timer
+        // would make the relang timers inside the analysis inert.
+        let t_scan = Instant::now();
+        let result = scan_source_with(path, src, opts, remote);
+        shoal_obs::trace::phase_add("scan", t_scan.elapsed().as_micros() as u64);
+        result
     });
     summary.unreadable.sort();
     summary

@@ -71,9 +71,9 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
             "{name}: event stream does not explain the terminal world count"
         );
 
-        // Span events for both phases made it into the trace.
+        // A span event for every front-end phase made it into the trace.
         let spans: Vec<&shoal_obs::Event> = events.iter().filter(|e| e.kind == "span").collect();
-        for phase in ["parse", "exec_items"] {
+        for phase in ["parse", "setup", "symexec", "report"] {
             assert!(
                 spans
                     .iter()
@@ -101,6 +101,18 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
             snap.gauge("engine.peak_live_worlds"),
             Some(p.peak_live_worlds as u64),
             "{name}: peak gauge"
+        );
+
+        // One number per phase: the `--stats` histograms hold exactly
+        // the `--profile` rows.
+        let phase_sum = |phase: &str| snap.histograms.get(&format!("phase.{phase}.us")).map(|h| h.sum);
+        assert_eq!(phase_sum("parse"), Some(p.parse_us), "{name}: parse");
+        assert_eq!(phase_sum("setup"), Some(p.setup_us), "{name}: setup");
+        assert_eq!(phase_sum("symexec"), Some(p.exec_us), "{name}: symexec");
+        assert_eq!(
+            phase_sum("report"),
+            Some(p.idempotence_us + p.report_us),
+            "{name}: report"
         );
     }
 }

@@ -24,17 +24,17 @@
 //! `stats`.
 //!
 //! **Telemetry.** Every request is traced: a span opens when the frame
-//! arrives, per-phase durations (`decode`, `cache`, `parse`, `symexec`,
-//! `relang`, `report`, `serialize`) accumulate in a thread-local while
-//! the request is serviced, and on completion the assembled
-//! [`shoal_obs::Trace`] is recorded — a named counter and a
-//! log-bucketed latency histogram per `endpoint.outcome`, a bounded
-//! in-memory ring of recent traces (plus the retained worst-N slow
-//! log), and optionally one JSONL line per request when
-//! [`ServerConfig::trace_log`] is set. The `stats` verb snapshots all
-//! of it as a `shoal-stats/v1` document. None of this touches response
-//! *content*: daemon-served output stays byte-identical to local
-//! `shoal analyze`.
+//! arrives, per-phase durations (`decode`, `cache`, `parse`, `setup`,
+//! `symexec`, `relang`, `report`, `serialize`) accumulate in a
+//! thread-local while the request is serviced, and on completion the
+//! assembled [`shoal_obs::Trace`] is recorded — a log-bucketed latency
+//! histogram per `endpoint.outcome` (whose count is the request
+//! count), a bounded in-memory ring of recent traces (plus the
+//! retained worst-N slow log), and optionally one JSONL line per
+//! request when [`ServerConfig::trace_log`] is set. The `stats` verb
+//! snapshots all of it as a `shoal-stats/v1` document. None of this
+//! touches response *content*: daemon-served output stays
+//! byte-identical to local `shoal analyze`.
 //!
 //! Shutdown is cooperative: the `stop` handler answers the client,
 //! flips the shutdown flag, then makes a throwaway connection to its
@@ -120,9 +120,8 @@ impl Default for ServerConfig {
 /// response is already serialized, so the critical section is a few
 /// map operations — contention here never delays an answer.
 struct Telemetry {
-    /// `endpoint.outcome` → request count (e.g. `analyze.hit`).
-    counters: BTreeMap<String, u64>,
-    /// `endpoint.outcome` → end-to-end latency histogram (µs).
+    /// `endpoint.outcome` (e.g. `analyze.hit`) → end-to-end latency
+    /// histogram (µs); its `count` is the request count.
     hists: BTreeMap<String, LogHistogram>,
     /// Recent traces + retained worst-by-duration slow log.
     ring: TraceRing,
@@ -145,7 +144,6 @@ impl Telemetry {
             std::fs::File::create(path).ok().map(BufWriter::new)
         });
         Telemetry {
-            counters: BTreeMap::new(),
             hists: BTreeMap::new(),
             ring: TraceRing::new(trace_ring.max(1)),
             log,
@@ -157,7 +155,6 @@ impl Telemetry {
     /// the request computed one).
     fn record(&mut self, trace: Trace, coverage: Option<&CoverageMap>) {
         let key = format!("{}.{}", trace.endpoint, trace.outcome);
-        *self.counters.entry(key.clone()).or_insert(0) += 1;
         self.hists.entry(key).or_default().record(trace.total_us);
         if let Some(cov) = coverage {
             self.audit.merge(cov);
@@ -671,9 +668,9 @@ fn handle_stats(state: &ServerState) -> Json {
     let telemetry = state.telemetry.lock().unwrap();
 
     let by = telemetry
-        .counters
+        .hists
         .iter()
-        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+        .map(|(k, h)| (k.clone(), Json::Num(h.count as f64)))
         .collect();
     let latency = telemetry
         .hists

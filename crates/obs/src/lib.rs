@@ -1,18 +1,23 @@
 //! Zero-dependency observability for the shoal analysis pipeline.
 //!
 //! The paper's engine explores many symbolic executions; this crate makes
-//! that exploration *visible* without making it slower. Three layers:
+//! that exploration *visible* without making it slower. Its layers:
 //!
-//! * **spans and events** ([`recorder`]) — structured records (`fork`,
-//!   `prune`, `cap_hit`, timed spans) collected into a process-global
-//!   recorder. When recording is disabled (the default) every
-//!   instrumentation site costs one relaxed atomic load and constructs
-//!   nothing.
+//! * **events and phases** ([`recorder`], [`trace`]) — structured
+//!   records (`fork`, `prune`, `cap_hit`, …) collected into a
+//!   process-global recorder, and named phases (`parse`, `setup`,
+//!   `symexec`, `report`, `relang`, …) timed one way only, by
+//!   [`trace::phase_add`]/[`trace::phase_timer`]. One phase charge
+//!   feeds every consumer that is on: the active request trace, and,
+//!   while recording, a `phase.NAME.us` histogram and a `span` event.
+//!   When recording is disabled (the default) an event site costs one
+//!   relaxed atomic load and a phase site one thread-local read more;
+//!   neither constructs anything.
 //! * **metrics** ([`metrics`]) — named counters, high-watermark gauges,
 //!   and log-bucketed histograms ([`hist::LogHistogram`]), snapshotted
 //!   for the `--stats` table or JSONL export.
 //! * **request tracing** ([`trace`], [`hist`]) — client-minted trace
-//!   IDs, thread-local per-phase accounting, a bounded ring of
+//!   IDs, per-request phase breakdowns, a bounded ring of
 //!   completed request traces, and log-bucketed latency histograms
 //!   with exact percentile extraction — the daemon's telemetry plane.
 //! * **audit** ([`audit`]) — mergeable, byte-deterministic coverage
@@ -54,8 +59,8 @@ pub use hist::LogHistogram;
 pub use metrics::{counter_add, gauge_max, hist_record, snapshot, MetricsSnapshot};
 pub use trace::{Trace, TraceRing};
 pub use recorder::{
-    enabled, install, is_installed, parse_jsonl, record_event, set_enabled, span, take_events,
-    trace_to_jsonl, Event, SpanGuard, Value,
+    enabled, install, parse_jsonl, record_event, set_enabled, take_events, trace_to_jsonl, Event,
+    Value,
 };
 pub use rng::XorShift64;
 pub use share::{CowList, CowMap, CowVec, Pmap};
@@ -94,19 +99,5 @@ macro_rules! failpoint {
         if $crate::failpoint::active() {
             $crate::failpoint::hit($name);
         }
-    };
-}
-
-/// Opens a timed span; the returned guard records a `span` event (with
-/// `duration_us`) and a duration histogram sample when dropped. Inert
-/// (no clock read) while recording is disabled.
-///
-/// ```
-/// let _g = shoal_obs::span!("exec_items");
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
     };
 }

@@ -60,7 +60,7 @@ pub fn hist_record(name: &'static str, v: u64) {
 
 /// Like [`hist_record`] for dynamically-built names (callers must have
 /// checked `enabled()` or accept the allocation).
-pub fn hist_record_name(name: String, v: u64) {
+pub(crate) fn hist_record_name(name: String, v: u64) {
     with_store(|s| s.histograms.entry(name).or_default().record(v));
 }
 

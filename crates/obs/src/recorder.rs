@@ -1,8 +1,9 @@
 //! The process-global event recorder.
 //!
-//! Instrumentation sites call [`crate::event!`] / [`crate::span!`]; both
-//! check one relaxed atomic load and do nothing further while recording
-//! is disabled, which keeps the engine's hot loops at their uninstrumented
+//! Instrumentation sites call [`crate::event!`] (and phase charges,
+//! [`crate::trace::phase_add`], record `span` events here); each checks
+//! one relaxed atomic load and does nothing further while recording is
+//! disabled, which keeps the engine's hot loops at their uninstrumented
 //! speed by default. A CLI run with `--trace`/`--stats`/`--profile` calls
 //! [`install`] up front and [`take_events`]/[`crate::snapshot`] at the
 //! end.
@@ -123,11 +124,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Has [`install`] been called (and not yet torn down by [`set_enabled(false)`])?
-pub fn is_installed() -> bool {
-    enabled()
-}
-
 /// Enables recording, clearing any previous events and metrics.
 pub fn install() {
     let mut st = STATE.lock().unwrap();
@@ -156,37 +152,6 @@ pub fn record_event(kind: &'static str, fields: Vec<(&'static str, Value)>) {
 /// Drains and returns all recorded events.
 pub fn take_events() -> Vec<Event> {
     std::mem::take(&mut STATE.lock().unwrap().events)
-}
-
-/// A guard for a timed span; see [`crate::span!`].
-#[must_use = "a span guard records on drop; binding it to _ drops immediately"]
-pub struct SpanGuard {
-    inner: Option<(&'static str, Instant)>,
-}
-
-/// Opens a span. Inert (None inside, no clock read) while disabled.
-#[inline]
-pub fn span(name: &'static str) -> SpanGuard {
-    SpanGuard {
-        inner: if enabled() {
-            Some((name, Instant::now()))
-        } else {
-            None
-        },
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some((name, start)) = self.inner.take() {
-            let us = start.elapsed().as_micros() as u64;
-            metrics::hist_record_name(format!("span.{name}.us"), us);
-            record_event(
-                "span",
-                vec![("name", Value::Str(name.to_string())), ("duration_us", Value::U64(us))],
-            );
-        }
-    }
 }
 
 /// Serializes events as JSON Lines: one object per line.

@@ -11,12 +11,14 @@
 //!   propagated in `shoal-jit/v1` frames, echoed back in the response,
 //!   so one ID names the request on both sides of the socket.
 //! * **phase accumulation** ([`begin`]/[`phase_add`]/[`phase_timer`]/
-//!   [`end`]) — a thread-local accumulator active only while a request
-//!   is being served. Instrumentation sites (the engine's parse /
-//!   symexec / report phases, relang's decision procedures) charge
-//!   time to named phases; when no trace is active every site costs
-//!   one thread-local flag read and **no clock read** — the same
-//!   zero-cost-when-disabled discipline as the recorder.
+//!   [`end`]) — the one way to time a phase. Instrumentation sites
+//!   (the engine's parse / setup / symexec / report phases, relang's
+//!   decision procedures, scan and verify) charge time to named
+//!   phases. A charge reaches the thread-local accumulator of the
+//!   request being served, and, while the recorder is on, the
+//!   `--stats` histograms and the `--trace` event stream. With
+//!   neither on, a site costs one thread-local read plus one relaxed
+//!   atomic load, and a [`phase_timer`] reads **no clock**.
 //! * **[`Trace`]** — one completed request: ID, endpoint, outcome,
 //!   total duration, and the phase breakdown, with a deterministic
 //!   text rendering (stable field order, no wall-clock timestamps —
@@ -28,6 +30,7 @@
 //!   their time went without unbounded memory.
 
 use crate::json::Json;
+use crate::recorder::Value;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +67,7 @@ thread_local! {
     static PHASES: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Is a trace active on this thread? One thread-local read — the
-/// entire disabled-path cost of every phase site.
+/// Is a trace active on this thread? One thread-local read.
 #[inline]
 pub fn active() -> bool {
     TRACE_ACTIVE.with(|a| a.get())
@@ -74,7 +76,6 @@ pub fn active() -> bool {
 /// Starts accumulating phases on this thread (clears any stale state).
 pub fn begin() {
     PHASES.with(|p| p.borrow_mut().clear());
-    TIMER_DEPTH.with(|d| d.set(0));
     TRACE_ACTIVE.with(|a| a.set(true));
 }
 
@@ -85,17 +86,22 @@ pub fn end() -> Vec<(&'static str, u64)> {
     PHASES.with(|p| std::mem::take(&mut *p.borrow_mut()))
 }
 
-/// Charges `us` microseconds to `name` iff a trace is active. Sites
-/// that already measure their own duration (the engine's per-phase
-/// timers) use this — no extra clock read either way.
+/// Charges `us` microseconds to the phase `name`, in every consumer
+/// that is on: the active request trace, and, while the recorder is
+/// enabled, a `phase.NAME.us` histogram sample plus a `span` event
+/// (`name`, `duration_us`) for `--stats` and `--trace`. With neither
+/// on, the cost is one thread-local read and one relaxed atomic load.
 #[inline]
 pub fn phase_add(name: &'static str, us: u64) {
     if active() {
-        phase_add_slow(name, us);
+        trace_add(name, us);
+    }
+    if crate::recorder::enabled() {
+        record_phase(name, us);
     }
 }
 
-fn phase_add_slow(name: &'static str, us: u64) {
+fn trace_add(name: &'static str, us: u64) {
     PHASES.with(|p| {
         let mut phases = p.borrow_mut();
         if let Some(entry) = phases.iter_mut().find(|(n, _)| *n == name) {
@@ -106,38 +112,45 @@ fn phase_add_slow(name: &'static str, us: u64) {
     });
 }
 
-/// A guard charging its scope's duration to a phase on drop. Inert (no
-/// clock read) when no trace is active, and inert when *nested* inside
-/// another live timer — relang's decision procedures call one another,
-/// and only the outermost call should charge the "relang" phase.
+fn record_phase(name: &'static str, us: u64) {
+    crate::metrics::hist_record_name(format!("phase.{name}.us"), us);
+    crate::recorder::record_event(
+        "span",
+        vec![("name", Value::Str(name.to_string())), ("duration_us", Value::U64(us))],
+    );
+}
+
+/// A guard charging its scope's duration to a phase on drop (see
+/// [`phase_add`]). Inert (no clock read) when no consumer is on, and
+/// inert when *nested* inside another live timer — relang's decision
+/// procedures call one another, and only the outermost call should
+/// charge the "relang" phase.
 #[must_use = "a phase timer charges on drop; binding it to _ drops immediately"]
 pub struct PhaseTimer {
+    /// Whether this timer entered the nesting depth, so its drop
+    /// leaves it exactly as it found it even if a consumer was
+    /// switched on or off in between.
+    entered: bool,
     inner: Option<(&'static str, Instant)>,
 }
 
 /// Opens a phase timer; see [`PhaseTimer`].
 #[inline]
 pub fn phase_timer(name: &'static str) -> PhaseTimer {
-    if !active() {
-        return PhaseTimer { inner: None };
+    if !active() && !crate::recorder::enabled() {
+        return PhaseTimer { entered: false, inner: None };
     }
-    let nested = TIMER_DEPTH.with(|d| {
+    let outermost = TIMER_DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
-        depth > 0
+        depth == 0
     });
-    PhaseTimer {
-        inner: if nested {
-            None
-        } else {
-            Some((name, Instant::now()))
-        },
-    }
+    PhaseTimer { entered: true, inner: outermost.then(|| (name, Instant::now())) }
 }
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
-        if active() {
+        if self.entered {
             TIMER_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         }
         if let Some((name, start)) = self.inner.take() {
@@ -356,6 +369,29 @@ mod tests {
         assert!(phases[0].1 >= 1_000, "outer timer spans the sleep");
         // Disabled path: no trace active → timer is inert.
         let _t = phase_timer("relang");
+    }
+
+    #[test]
+    fn toggling_a_consumer_mid_timer_leaks_no_depth() {
+        // Opened while only the recorder is on, the timer enters the
+        // nesting depth; it must leave it on drop even though nothing
+        // measures by then, or every later outermost timer on this
+        // thread would be inert.
+        crate::recorder::set_enabled(true);
+        let live = phase_timer("relang");
+        crate::recorder::set_enabled(false);
+        drop(live);
+        // The same for a trace that ends while the timer is live.
+        begin();
+        let live = phase_timer("relang");
+        end();
+        drop(live);
+        begin();
+        {
+            let _t = phase_timer("relang");
+        }
+        let phases = end();
+        assert_eq!(phases.len(), 1, "the later outermost timer charges: {phases:?}");
     }
 
     #[test]

@@ -62,13 +62,14 @@ fn disabled_instrumentation_does_not_allocate() {
     });
     assert_eq!(n, 0, "disabled metrics allocated {n} time(s)");
 
-    // Spans.
+    // Phases: no request trace open and the recorder off.
     let n = allocations(|| {
-        for _ in 0..100 {
-            let _span = shoal_obs::span!("test_span");
+        for i in 0..100u64 {
+            shoal_obs::trace::phase_add("test_phase", i);
+            let _t = shoal_obs::trace::phase_timer("test_phase");
         }
     });
-    assert_eq!(n, 0, "disabled span! allocated {n} time(s)");
+    assert_eq!(n, 0, "disabled phase_add/phase_timer allocated {n} time(s)");
 
     // And once enabled, the same calls DO record (sanity check that the
     // zero above measured the disabled path, not broken plumbing).

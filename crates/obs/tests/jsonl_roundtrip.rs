@@ -20,7 +20,7 @@ fn every_value_shape_survives_the_jsonl_round_trip() {
     );
     shoal_obs::event!("fork", site = "if", line = 3u64, new_worlds = 1u64);
     {
-        let _span = shoal_obs::span!("phase");
+        let _t = shoal_obs::trace::phase_timer("phase");
     }
     let events = take_events();
     set_enabled(false);

@@ -5,7 +5,7 @@
 //! `SCAN_LOCK` — an armed failpoint must never leak into a concurrent
 //! determinism run.
 
-use shoal::core::{scan_paths, Outcome, ScanOptions};
+use shoal::core::{analyze_source, scan_paths, scan_source, DiagCode, Outcome, ScanOptions};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -160,4 +160,26 @@ fn parallel_scan_is_deterministic_under_injected_worker_panic() {
         seq.0.contains("panicked"),
         "the injected panic must be visible in the report"
     );
+}
+
+#[test]
+fn scan_keeps_the_malformed_annotation_note_analyze_reports() {
+    let _g = SCAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The annotation is malformed, so the script runs un-annotated; the
+    // note saying so must survive the resilient front end `shoal scan`
+    // uses, exactly as `shoal analyze` reports it.
+    let src = "#@ var X : [unclosed\nrm -rf \"$X/\"*\n";
+    let scanned = scan_source("bad-annotation.sh", src, &ScanOptions::default())
+        .report
+        .expect("analyzed locally");
+    let strict = analyze_source(src).expect("valid shell");
+    assert!(
+        scanned
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::AnalysisIncomplete && d.message.contains("bad annotation")),
+        "scan dropped the note: {:?}",
+        scanned.diagnostics
+    );
+    assert_eq!(scanned.diagnostics, strict.diagnostics);
 }
