@@ -108,10 +108,8 @@ impl AnalysisOptions {
 pub struct AnalysisReport {
     /// Deduplicated diagnostics, ordered by line then code.
     pub diagnostics: Vec<Diagnostic>,
-    /// Number of execution paths that reached the end of the script.
-    pub paths_completed: usize,
     /// Exact peak size of the live world set during exploration
-    /// (tracked by the engine's branch accounting).
+    /// (tracked by `EngineStats::note_live`).
     pub worlds_explored: usize,
     /// Number of terminal worlds — the old meaning of
     /// `worlds_explored`, kept under its proper name.
@@ -307,7 +305,7 @@ pub(crate) fn finalize(
     let worlds = worlds;
     let idempotence_us = t_idem.elapsed().as_micros() as u64;
     let t_report = Instant::now();
-    let paths_completed = worlds.len();
+    let terminal_worlds = worlds.len();
     // Close the world tree: every surviving world is a terminal leaf,
     // so the tree's terminal-leaf count reconciles exactly with
     // `terminal_worlds`.
@@ -377,12 +375,12 @@ pub(crate) fn finalize(
     shoal_obs::event!(
         "join",
         site = "analyze",
-        terminal_worlds = paths_completed,
+        terminal_worlds = terminal_worlds,
         peak_live = peak_live,
-        forks = stats.forks.get(),
-        pruned = stats.pruned.get(),
-        cap_dropped = stats.cap_dropped.get(),
-        merged = stats.merged.get()
+        forks = world_tree.forks(),
+        pruned = world_tree.pruned_leaves(),
+        cap_dropped = world_tree.cap_dropped_leaves(),
+        merged = world_tree.merged_leaves()
     );
     shoal_obs::counter_add("analyze.runs", 1);
     let profile = engine.opts.profile.then(|| ProfileReport {
@@ -393,10 +391,10 @@ pub(crate) fn finalize(
         report_us,
         total_us: parse_us + setup_us + t_start.elapsed().as_micros() as u64,
         peak_live_worlds: peak_live,
-        forks: stats.forks.get(),
-        worlds_pruned: stats.pruned.get(),
-        cap_dropped: stats.cap_dropped.get(),
-        merged: stats.merged.get(),
+        forks: world_tree.forks() as u64,
+        worlds_pruned: world_tree.pruned_leaves() as u64,
+        cap_dropped: world_tree.cap_dropped_leaves() as u64,
+        merged: world_tree.merged_leaves() as u64,
     });
     let cap_hits = stats.take_cap_hits();
     // A cap hit always marks the report incomplete, even when no world
@@ -414,9 +412,8 @@ pub(crate) fn finalize(
     });
     AnalysisReport {
         diagnostics,
-        paths_completed,
         worlds_explored: peak_live,
-        terminal_worlds: paths_completed,
+        terminal_worlds,
         incomplete,
         cap_hits,
         profile,

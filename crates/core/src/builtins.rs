@@ -311,7 +311,6 @@ fn exec_cd(eng: &Engine, world: World, fields: &[Field], span: Span) -> Vec<Worl
         w0.last_exit = ExitStatus::Unknown;
         out.push(w0);
     }
-    eng.account_branch("cd", span.line, 2, out.len(), out.last());
     out
 }
 
@@ -430,7 +429,6 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
             eng.branch_pruned(parent, "realpath", span, text);
         }
     }
-    let attempted = if sym.is_some() { 3 } else { 1 };
     if out.is_empty() {
         let mut w = world;
         let v = w.fresh_sym(
@@ -441,7 +439,6 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
         w.last_exit = ExitStatus::Zero;
         out.push(w);
     }
-    eng.account_branch("realpath", span.line, attempted, out.len(), out.last());
     out
 }
 
@@ -593,7 +590,6 @@ fn fork_on_emptiness(
             eng.branch_pruned(parent, "test_empty", span, text);
         }
     }
-    eng.account_branch("test_empty", span.line, 2, out.len(), out.last());
     out
 }
 
@@ -673,7 +669,6 @@ fn fork_on_equality(
             eng.branch_pruned(parent, "test_eq", span, text);
         }
     }
-    eng.account_branch("test_eq", span.line, 2, out.len(), out.last());
     out
 }
 
@@ -717,11 +712,9 @@ fn fork_on_fs(eng: &Engine, world: World, v: &SymStr, want: NodeState, span: Spa
             eng.branch_pruned(parent, "test_fs", span, text);
         }
     }
-    let attempted = 1 + complements.len();
     if out.is_empty() {
         w0.last_exit = ExitStatus::Unknown;
         out.push(w0);
     }
-    eng.account_branch("test_fs", span.line, attempted, out.len(), out.last());
     out
 }

@@ -242,52 +242,6 @@ impl<'s> Engine<'s> {
             .mark_pruned(parent, site, span.line, constraint);
     }
 
-    /// Accounts one primitive branch decision: one world considered
-    /// `attempted` successor candidates, of which `survived` remain.
-    /// This is the *only* place fork/prune counters move, keeping
-    /// `terminal = 1 + forks − pruned − cap_dropped − merged` exact
-    /// (see [`crate::stats`]).
-    pub(crate) fn account_branch(
-        &self,
-        site: &'static str,
-        line: u32,
-        attempted: usize,
-        survived: usize,
-        from: Option<&World>,
-    ) {
-        shoal_obs::failpoint!("engine::fork");
-        if attempted > 1 {
-            let new = (attempted - 1) as u64;
-            self.stats.forks.set(self.stats.forks.get() + new);
-            shoal_obs::counter_add("engine.forks", new);
-            shoal_obs::event!(
-                "fork",
-                site = site,
-                line = line,
-                new_worlds = new,
-                survived = survived,
-                pc = from
-                    .and_then(|w| w.trail.last().map(|t| t.what.clone()))
-                    .unwrap_or_default(),
-                pc_len = from.map(|w| w.trail.len()).unwrap_or(0)
-            );
-        }
-        if survived < attempted {
-            let n = (attempted - survived) as u64;
-            self.stats.pruned.set(self.stats.pruned.get() + n);
-            shoal_obs::counter_add("engine.pruned", n);
-            shoal_obs::event!(
-                "prune",
-                site = site,
-                line = line,
-                dropped = n,
-                pc = from
-                    .and_then(|w| w.trail.last().map(|t| t.what.clone()))
-                    .unwrap_or_default()
-            );
-        }
-    }
-
     /// Caps a live world set at `max_worlds` (see [`Engine::truncate`]).
     fn cap(&self, worlds: Vec<World>, span: Span) -> Vec<World> {
         self.truncate(worlds, span, CapReason::MaxWorlds, |w| w)
@@ -390,8 +344,6 @@ impl<'s> Engine<'s> {
             }
         }
         if merged > 0 {
-            self.stats.merged.set(self.stats.merged.get() + merged);
-            shoal_obs::counter_add("engine.merged", merged);
             shoal_obs::event!("merge", line = line, merged = merged, live = classes.len());
         }
         classes
@@ -462,7 +414,6 @@ impl<'s> Engine<'s> {
                         next.push(w)
                     }
                     (_, ExitStatus::Unknown) => {
-                        self.account_branch("and_or", pipe.span().line, 2, 2, Some(&w));
                         let parent = w.id;
                         let mut skip = w.clone();
                         self.branch_child(
@@ -768,7 +719,6 @@ impl<'s> Engine<'s> {
                 ExitStatus::Zero => then_worlds.push(w),
                 ExitStatus::NonZero => else_worlds.push(w),
                 ExitStatus::Unknown => {
-                    self.account_branch("if", span.line, 2, 2, Some(&w));
                     let parent = w.id;
                     let mut t = w.clone();
                     self.branch_child(
@@ -809,7 +759,6 @@ impl<'s> Engine<'s> {
                     ExitStatus::Zero => taken.push(w),
                     ExitStatus::NonZero => next_rest.push(w),
                     ExitStatus::Unknown => {
-                        self.account_branch("elif", span.line, 2, 2, Some(&w));
                         let parent = w.id;
                         let mut t = w.clone();
                         self.branch_child(
@@ -882,7 +831,6 @@ impl<'s> Engine<'s> {
                         exited.push(w);
                     }
                     None => {
-                        self.account_branch("while", span.line, 2, 2, Some(&w));
                         let parent = w.id;
                         let mut stop = w.clone();
                         self.branch_child(
@@ -1050,13 +998,6 @@ impl<'s> Engine<'s> {
                             feasible = matched.refine_sym(id, &pattern);
                             un_feasible = unmatched.refine_sym(id, &pattern.complement());
                         }
-                        self.account_branch(
-                            "case",
-                            span.line,
-                            2,
-                            usize::from(feasible) + usize::from(un_feasible),
-                            Some(&unmatched),
-                        );
                         let match_text = format!("{} matches case pattern", subject.describe());
                         let unmatch_text =
                             format!("{} does not match case pattern", subject.describe());
@@ -1380,7 +1321,6 @@ impl<'s> Engine<'s> {
                     }
                     (Some(k), None) => {
                         // Whole node. Fork on existence unless -f.
-                        let before = next.len();
                         let parent = w.id;
                         let want = if recursive {
                             NodeState::Exists
@@ -1449,7 +1389,6 @@ impl<'s> Engine<'s> {
                             // A directory without -r fails; we folded
                             // that into the File requirement above.
                         }
-                        self.account_branch("rm", span.line, 2, next.len() - before, next.last());
                     }
                     (None, _) => {
                         w.last_exit = ExitStatus::Unknown;
@@ -1503,8 +1442,7 @@ impl<'s> Engine<'s> {
         let mut any_feasible = false;
         let mut success_feasible = false;
         let success_possible = cs.cases().any(|c| c.exit != ExitSpec::Failure);
-        let n_cases = cs.cases().len();
-        let multi_case = n_cases > 1;
+        let multi_case = cs.cases().len() > 1;
         for (i, case) in cs.cases().enumerate() {
             if doomed(&world, cs, case) {
                 if multi_case {
@@ -1612,7 +1550,6 @@ impl<'s> Engine<'s> {
             w.last_exit = ExitStatus::NonZero;
             out.push(w);
         }
-        self.account_branch("spec", span.line, n_cases, out.len(), out.last());
         self.cap(out, span)
     }
 

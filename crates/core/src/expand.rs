@@ -459,7 +459,6 @@ pub fn expand_param(
             let mut fresh = || fresh_world.fresh_sym_id();
             let cases = remove_affix(&value, &pattern, affix, longest, &mut fresh);
             let consumed = fresh_world;
-            let attempted = cases.len().max(1);
             let parent = consumed.id;
             let forked = cases.len() > 1;
             for case in cases {
@@ -497,13 +496,6 @@ pub fn expand_param(
             if out.is_empty() {
                 out.push((world, SymStr::empty()));
             }
-            eng.account_branch(
-                "remove_affix",
-                0,
-                attempted,
-                out.len(),
-                out.last().map(|(w, _)| w),
-            );
             out
         }
     }
@@ -551,13 +543,6 @@ fn split_on_unset(
             if let (Some(id), true) = (sym, eng.opts.enable_pruning) {
                 unset_ok = unset_world.refine_sym(id, &Regex::eps());
             }
-            eng.account_branch(
-                "param_split",
-                0,
-                2,
-                usize::from(feasible) + usize::from(unset_ok),
-                Some(&unset_world),
-            );
             let parent = unset_world.id;
             let set_text = format!("${name} is non-empty");
             if feasible {

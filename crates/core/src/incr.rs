@@ -3,7 +3,7 @@
 //! The cold engine analyzes a script by folding [`Engine::step`] over
 //! the top-level statements. This module makes that fold *resumable*:
 //! after every statement it checkpoints the full engine-visible state
-//! (live worlds, world tree, exploration counters, audit recorder,
+//! (live worlds, world tree, engine statistics, audit recorder,
 //! accumulated relang approximation events) and files the checkpoint in
 //! a summary cache keyed by
 //!
@@ -92,10 +92,6 @@ pub struct IncrStats {
 struct Checkpoint {
     worlds: Vec<World>,
     tree: WorldTree,
-    forks: u64,
-    pruned: u64,
-    cap_dropped: u64,
-    merged: u64,
     peak_live: usize,
     cap_hits: Vec<CapHit>,
     audit: AuditRecorder,
@@ -259,10 +255,6 @@ impl IncrSession {
         if let Some(key) = frontier {
             let chk = self.summaries[&key].chk.clone();
             engine.tree.replace(chk.tree);
-            engine.stats.forks.set(chk.forks);
-            engine.stats.pruned.set(chk.pruned);
-            engine.stats.cap_dropped.set(chk.cap_dropped);
-            engine.stats.merged.set(chk.merged);
             engine.stats.peak_live.set(chk.peak_live);
             *engine.stats.cap_hits.borrow_mut() = chk.cap_hits;
             engine.audit.replace(chk.audit);
@@ -284,10 +276,6 @@ impl IncrSession {
             let chk = Checkpoint {
                 worlds: worlds.clone(),
                 tree: engine.tree.borrow().clone(),
-                forks: engine.stats.forks.get(),
-                pruned: engine.stats.pruned.get(),
-                cap_dropped: engine.stats.cap_dropped.get(),
-                merged: engine.stats.merged.get(),
                 peak_live: engine.stats.peak_live.get(),
                 cap_hits: engine.stats.cap_hits.borrow().clone(),
                 audit: engine.audit.borrow().clone(),
@@ -339,7 +327,7 @@ impl IncrSession {
 }
 
 /// Digest of the full engine-visible *starting* state: worlds, tree,
-/// counters, audit state, approximation events, and the
+/// engine statistics, audit state, approximation events, and the
 /// options/annotations context — every input the execution and the
 /// finalization read. Built from `Debug` renderings: every container
 /// involved (CowVec/CowMap/CowList, Pmap, BTreeMap) iterates
@@ -357,11 +345,7 @@ fn fingerprint(engine: &Engine, worlds: &[World], approx: &[ApproxReason], ctx: 
     let st = &engine.stats;
     let _ = write!(
         s,
-        "forks={};pruned={};capped={};merged={};peak={};hits={:?};",
-        st.forks.get(),
-        st.pruned.get(),
-        st.cap_dropped.get(),
-        st.merged.get(),
+        "peak={};hits={:?};",
         st.peak_live.get(),
         st.cap_hits.borrow()
     );

@@ -21,16 +21,27 @@
 //! findings render in standard viewers, and [`explain_diag`], which
 //! replays a witness path as a step-by-step narrative.
 //!
-//! Invariants (checked by `tests/provenance.rs` at the workspace root):
+//! The tree is the only record of exploration. Fork, prune, cap-drop
+//! and merge counts are read off its nodes when something asks for
+//! them (`--profile`, the `join` trace event, the tree JSON summary),
+//! and while the recorder is on, node allocation and closing are the
+//! only places that bump the `engine.{forks,pruned,cap_dropped,merged}`
+//! counters and emit the per-node `fork`/`prune` trace events.
+//!
+//! Invariants (checked by `tests/provenance.rs` at the workspace root
+//! and `crates/core/tests`):
 //!
 //! * IDs and the whole tree are stable under identical input — the
 //!   engine explores deterministically, so two runs serialize
 //!   byte-identically;
-//! * the number of tree leaves marked [`WorldOutcome::Terminal`] equals
-//!   `AnalysisReport::terminal_worlds` (PR 1's exact branch
-//!   accounting), **by construction**: terminal marking appends a
-//!   synthetic leaf whenever a world reached the end of the script
-//!   without its node being a fresh leaf.
+//! * every close produces exactly one leaf with its outcome (a world
+//!   whose node already forked gets a synthetic `end` leaf), so after
+//!   an analysis no leaf is still open and the number of
+//!   [`WorldOutcome::Terminal`] leaves equals
+//!   `AnalysisReport::terminal_worlds`;
+//! * a fork is a node that adds a leaf, so
+//!   `terminal = 1 + forks − pruned − cap_dropped − merged` holds by
+//!   construction.
 
 use crate::analyze::AnalysisReport;
 use crate::diag::{DiagCode, Diagnostic, Severity};
@@ -171,6 +182,14 @@ pub struct WorldNode {
     pub children: Vec<WorldId>,
 }
 
+impl WorldNode {
+    /// A live world that has not forked: a new child replaces it as a
+    /// leaf, and closing it marks it in place.
+    fn is_open_leaf(&self) -> bool {
+        self.children.is_empty() && self.outcome == WorldOutcome::Open
+    }
+}
+
 /// The tree of explored worlds for one analysis run.
 ///
 /// Nodes live behind `Arc` so a snapshot of the tree (the incremental
@@ -206,6 +225,10 @@ impl WorldTree {
         }
     }
 
+    /// Appends a node under `parent`. While the recorder is on, this and
+    /// [`WorldTree::close`] are the only places the exploration counters
+    /// move: the node is a fork when it adds a leaf (its parent was not
+    /// an open leaf it replaces), and a pruned node is a prune.
     fn alloc(
         &mut self,
         parent: WorldId,
@@ -214,6 +237,17 @@ impl WorldTree {
         constraint: String,
         outcome: WorldOutcome,
     ) -> WorldId {
+        shoal_obs::failpoint!("engine::fork");
+        if shoal_obs::enabled() {
+            if !self.nodes[parent as usize].is_open_leaf() {
+                shoal_obs::counter_add("engine.forks", 1);
+                shoal_obs::event!("fork", site = site, line = line, pc = constraint.as_str());
+            }
+            if outcome == WorldOutcome::Pruned {
+                shoal_obs::counter_add("engine.pruned", 1);
+                shoal_obs::event!("prune", site = site, line = line, pc = constraint.as_str());
+            }
+        }
         let id = self.nodes.len() as WorldId;
         self.nodes.push(Arc::new(WorldNode {
             id,
@@ -253,11 +287,15 @@ impl WorldTree {
     /// Closes a live world with `outcome`. If the world's node already
     /// forked children (or was already closed), a synthetic leaf is
     /// appended instead, so every close produces exactly one leaf with
-    /// that outcome — this is what makes the terminal-leaf count
-    /// reconcile exactly with the engine's branch accounting.
+    /// that outcome.
     fn close(&mut self, id: WorldId, outcome: WorldOutcome) {
+        match outcome {
+            WorldOutcome::CapDropped => shoal_obs::counter_add("engine.cap_dropped", 1),
+            WorldOutcome::Merged => shoal_obs::counter_add("engine.merged", 1),
+            _ => {}
+        }
         let node = &self.nodes[id as usize];
-        if node.children.is_empty() && node.outcome == WorldOutcome::Open {
+        if node.is_open_leaf() {
             Arc::make_mut(&mut self.nodes[id as usize]).outcome = outcome;
         } else {
             let line = node.line;
@@ -292,6 +330,17 @@ impl WorldTree {
 
     fn count(&self, outcome: WorldOutcome) -> usize {
         self.nodes.iter().filter(|n| n.outcome == outcome).count()
+    }
+
+    /// Worlds created beyond the first: the number of leaves (nodes
+    /// that are childless or closed) minus one.
+    pub fn forks(&self) -> usize {
+        let leaves = self
+            .nodes
+            .iter()
+            .filter(|n| n.children.is_empty() || n.outcome != WorldOutcome::Open)
+            .count();
+        leaves - 1
     }
 
     /// Leaves that reached the end of the script. Reconciles exactly
@@ -760,10 +809,12 @@ mod tests {
         t.mark_terminal(b);
         assert_eq!(t.terminal_leaves(), 2);
         assert_eq!(t.pruned_leaves(), 1);
+        assert_eq!(t.forks(), 2);
         // Double-closing an already-closed leaf still adds exactly one
         // terminal per call (robustness against missed fork sites).
         t.mark_terminal(a);
         assert_eq!(t.terminal_leaves(), 3);
+        assert_eq!(t.forks(), 3);
     }
 
     #[test]

@@ -1,21 +1,11 @@
-//! Exploration accounting: exact fork/prune/cap counters and cap-hit
-//! records.
+//! Exploration statistics the world tree cannot answer: the peak live
+//! world set, cap-hit records and pipeline stream checks.
 //!
 //! The engine threads an [`EngineStats`] through every world-set
 //! transformation via interior mutability (all `Engine` methods take
-//! `&self`). Counting happens only at *primitive* branch sites — places
-//! where one world maps to `n` successor worlds without recursing
-//! through `exec_items` — so the balance
-//!
-//! ```text
-//! terminal_worlds = 1 + forks − pruned − cap_dropped − merged
-//! ```
-//!
-//! holds exactly by construction (each transition is counted once, at
-//! its origin; `merged` counts worlds folded into a same-state sibling
-//! at a statement boundary). Composition sites (lists, pipelines,
-//! loops, captures) preserve world counts and are deliberately not
-//! instrumented.
+//! `&self`). Fork, prune, cap-drop and merge counts are not kept here:
+//! the world tree ([`crate::provenance::WorldTree`]) is their only
+//! record, and [`ProfileReport`] reads them off its leaves.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -82,14 +72,6 @@ pub struct CapHit {
 /// Per-run exploration counters, updated through `&self`.
 #[derive(Debug, Default)]
 pub struct EngineStats {
-    /// Worlds created beyond the first at branch sites.
-    pub forks: Cell<u64>,
-    /// Infeasible branch candidates discarded by refinement.
-    pub pruned: Cell<u64>,
-    /// Worlds dropped at `max_worlds` caps.
-    pub cap_dropped: Cell<u64>,
-    /// Worlds folded into a same-state sibling at statement boundaries.
-    pub merged: Cell<u64>,
     /// Peak size of any live world set processed at one point.
     pub peak_live: Cell<usize>,
     /// Where exploration hit bounds, deduplicated by (reason, line).
@@ -118,7 +100,6 @@ impl EngineStats {
     /// Records a bound hit (merging repeats at the same site) and emits
     /// a `cap_hit` trace event.
     pub fn note_cap(&self, reason: CapReason, line: u32, dropped: usize) {
-        self.cap_dropped.set(self.cap_dropped.get() + dropped as u64);
         let mut hits = self.cap_hits.borrow_mut();
         match hits.iter_mut().find(|h| h.reason == reason && h.line == line) {
             Some(h) => {
@@ -133,7 +114,6 @@ impl EngineStats {
             }),
         }
         shoal_obs::counter_add("engine.cap_hits", 1);
-        shoal_obs::counter_add("engine.cap_dropped", dropped as u64);
         shoal_obs::event!(
             "cap_hit",
             reason = reason.as_str(),
@@ -150,7 +130,7 @@ impl EngineStats {
 
 /// Optional per-run profile attached to an `AnalysisReport` (the
 /// `--profile` view): exact peak worlds, per-phase wall time, and the
-/// branch accounting.
+/// exploration counts read off the world tree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Parsing time (µs); 0 when analysis started from an AST.
@@ -192,7 +172,6 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].dropped, 15);
         assert_eq!(hits[0].hits, 2);
-        assert_eq!(s.cap_dropped.get(), 15);
         assert!(s.take_cap_hits().is_empty());
     }
 

@@ -1,19 +1,28 @@
-//! The exploration accounting must balance exactly: every terminal
-//! world is explained by the initial world plus forks minus pruned
-//! branches minus cap-dropped worlds minus worlds merged into a
-//! same-state sibling. These tests use only per-engine
-//! counters (via `ProfileReport`), no global recorder state, so they
-//! can run in parallel with everything else.
+//! The world tree is the only record of exploration: `ProfileReport`
+//! reads its fork, prune, cap-drop and merge counts off the tree, so
+//! `terminal = 1 + forks − pruned − cap_dropped − merged` holds by
+//! construction. What the tree can still get wrong is a world the
+//! engine dropped without closing; these tests check that every leaf is
+//! closed and that the terminal leaves are the terminal worlds. They
+//! use only per-engine state (via `ProfileReport` and the tree), no
+//! global recorder state, so they can run in parallel with everything
+//! else.
 
-use shoal_core::{analyze_source_with, AnalysisOptions, CapReason, ProfileReport};
-use shoal_corpus::{figures, scale};
+use shoal_core::{
+    analyze_source_with, AnalysisOptions, CapReason, ProfileReport, WorldOutcome,
+};
+use shoal_corpus::{figures, generate_corpus, scale};
 
 fn profiled(src: &str) -> (shoal_core::AnalysisReport, ProfileReport) {
+    profiled_with(src, AnalysisOptions::default())
+}
+
+fn profiled_with(src: &str, opts: AnalysisOptions) -> (shoal_core::AnalysisReport, ProfileReport) {
     let report = analyze_source_with(
         src,
         AnalysisOptions {
             profile: true,
-            ..AnalysisOptions::default()
+            ..opts
         },
     )
     .expect("corpus script parses");
@@ -21,20 +30,28 @@ fn profiled(src: &str) -> (shoal_core::AnalysisReport, ProfileReport) {
     (report, profile)
 }
 
-fn assert_balanced(name: &str, src: &str) {
-    let (report, p) = profiled(src);
-    let expected =
-        1 + p.forks as i64 - p.worlds_pruned as i64 - p.cap_dropped as i64 - p.merged as i64;
+fn assert_closed(name: &str, report: &shoal_core::AnalysisReport, p: &ProfileReport) {
+    let tree = &report.world_tree;
+    let open = tree
+        .nodes
+        .iter()
+        .filter(|n| n.children.is_empty() && n.outcome == WorldOutcome::Open)
+        .count();
+    assert_eq!(open, 0, "{name}: {open} leaf/leaves left open");
     assert_eq!(
-        report.terminal_worlds as i64, expected,
-        "{name}: terminal worlds ≠ 1 + forks − pruned − cap_dropped − merged \
-         (terminal={}, forks={}, pruned={}, cap_dropped={}, merged={})",
-        report.terminal_worlds, p.forks, p.worlds_pruned, p.cap_dropped, p.merged
+        tree.terminal_leaves(),
+        report.terminal_worlds,
+        "{name}: terminal leaves ≠ terminal worlds"
     );
     assert_eq!(
-        report.world_tree.merged_leaves() as u64,
-        p.merged,
-        "{name}: merged tree leaves disagree with the merged counter"
+        (p.forks, p.worlds_pruned, p.cap_dropped, p.merged),
+        (
+            tree.forks() as u64,
+            tree.pruned_leaves() as u64,
+            tree.cap_dropped_leaves() as u64,
+            tree.merged_leaves() as u64,
+        ),
+        "{name}: profile counts are not the tree's"
     );
     assert_eq!(
         report.worlds_explored, p.peak_live_worlds,
@@ -46,55 +63,75 @@ fn assert_balanced(name: &str, src: &str) {
         report.worlds_explored,
         report.terminal_worlds
     );
-    assert_eq!(report.paths_completed, report.terminal_worlds);
+}
+
+fn assert_balanced(name: &str, src: &str) {
+    let (report, p) = profiled(src);
+    assert_closed(name, &report, &p);
 }
 
 #[test]
 fn figures_balance() {
-    assert_balanced("fig1", figures::FIG1);
-    assert_balanced("fig2", figures::FIG2);
-    assert_balanced("fig3", figures::FIG3);
-    assert_balanced("fig5", figures::FIG5);
+    for (name, src) in figures::all() {
+        assert_balanced(name, src);
+    }
 }
 
 #[test]
 fn figures_balance_without_pruning() {
-    for (name, src) in [
-        ("fig1", figures::FIG1),
-        ("fig2", figures::FIG2),
-        ("fig3", figures::FIG3),
-    ] {
-        let report = analyze_source_with(
+    for (name, src) in figures::all() {
+        let (report, p) = profiled_with(
             src,
             AnalysisOptions {
                 enable_pruning: false,
-                profile: true,
                 ..AnalysisOptions::default()
             },
-        )
-        .unwrap();
-        let p = report.profile.unwrap();
-        assert_eq!(
-            report.terminal_worlds as i64,
-            1 + p.forks as i64 - p.worlds_pruned as i64 - p.cap_dropped as i64 - p.merged as i64,
-            "{name} (pruning off) out of balance"
         );
+        assert_closed(&format!("{name} (pruning off)"), &report, &p);
     }
 }
 
 #[test]
 fn scaling_scripts_balance() {
-    assert_balanced("straight_line_20", &scale::straight_line(20));
-    assert_balanced("branchy_4", &scale::branchy(4));
-    assert_balanced("branchy_independent_5", &scale::branchy_independent(5));
-    assert_balanced("wide_pipeline_8", &scale::wide_pipeline(8));
+    for (name, src) in [
+        ("straight_line/50", scale::straight_line(50)),
+        ("straight_line/200", scale::straight_line(200)),
+        ("branchy/6", scale::branchy(6)),
+        ("branchy_independent/8", scale::branchy_independent(8)),
+        ("wide_pipeline/8", scale::wide_pipeline(8)),
+        ("loopy/200", scale::loopy(200)),
+    ] {
+        assert_balanced(name, &src);
+    }
+}
+
+#[test]
+fn labeled_corpus_balances() {
+    // E8's draw of the labeled bug corpus.
+    for s in generate_corpus(10, 2026) {
+        assert_balanced(&s.name, &s.script);
+    }
+}
+
+#[test]
+fn rm_of_a_directory_counts_its_pruned_candidates_once() {
+    // `rm d` without `-r` on a known directory: both the "exists as a
+    // file" and the "is absent" candidates are pruned, and the world
+    // carries on with a failing `rm`. The profile once counted one fork
+    // and one prune here while the tree held two of each.
+    let (report, p) = profiled("mkdir -p d/e\nrm d\necho after\n");
+    let tree = &report.world_tree;
+    assert_eq!(tree.pruned_leaves(), 2);
+    assert_eq!(p.forks, tree.forks() as u64);
+    assert_eq!(p.worlds_pruned, tree.pruned_leaves() as u64);
+    assert_closed("rm d", &report, &p);
 }
 
 #[test]
 fn branchy_overflow_records_max_worlds_cap() {
     // 2^8 = 256 genuinely independent paths against the default
-    // 64-world cap: exploration must truncate, say so machine-readably,
-    // and still balance.
+    // 64-world cap: exploration must truncate and say so
+    // machine-readably.
     let (report, p) = profiled(&scale::branchy_independent(8));
     assert!(report.incomplete);
     assert!(p.cap_dropped > 0, "expected dropped worlds, got none");
@@ -116,10 +153,10 @@ fn branchy_overflow_records_max_worlds_cap() {
 fn symbolic_while_records_loop_bound_cap() {
     // A loop on a symbolic condition survives past the unrolling bound:
     // the widening is recorded as a cap hit — but not as dropped worlds
-    // (widening keeps the worlds), so the balance is unaffected.
+    // (widening keeps the worlds), so no leaf is cap-dropped.
     let src = "#!/bin/sh\nwhile [ \"$1\" != done ]; do\n    shift\ndone\necho ok\n";
-    assert_balanced("symbolic_while", src);
-    let (report, _) = profiled(src);
+    let (report, p) = profiled(src);
+    assert_closed("symbolic_while", &report, &p);
     let hit = report
         .cap_hits
         .iter()

@@ -1,14 +1,15 @@
-//! End-to-end trace reconciliation: the fork/prune/cap events the
-//! engine emits into the global recorder must tell the same story as
-//! the per-engine counters in the report, and the JSONL export must
-//! parse back losslessly.
+//! End-to-end trace reconciliation: the per-node fork/prune events and
+//! the aggregate cap/merge events the engine emits into the global
+//! recorder must tell the same story as the counters and the world
+//! tree, replaying a checkpointed tree must emit nothing, and the JSONL
+//! export must parse back losslessly.
 //!
 //! The recorder is process-global, so this file contains exactly ONE
 //! test function: cargo runs test *binaries* sequentially, but tests
 //! *within* a binary in parallel threads, and a second test here would
 //! race on `install`/`take_events`.
 
-use shoal_core::{analyze_source_with, AnalysisOptions};
+use shoal_core::{analyze_source_with, AnalysisOptions, IncrSession};
 use shoal_corpus::figures;
 use shoal_obs::{install, parse_jsonl, set_enabled, take_events, trace_to_jsonl, Value};
 
@@ -40,8 +41,10 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
         set_enabled(false);
         let p = report.profile.as_ref().unwrap();
 
-        // Sum the per-site events and check them against the engine's
-        // own counters, then against the terminal world count.
+        // Count the per-node fork/prune events and sum the aggregate
+        // cap/merge events, then check them against the world tree the
+        // profile reads, and against the terminal world count.
+        let tree = &report.world_tree;
         let mut forks = 0u64;
         let mut pruned = 0u64;
         let mut cap_dropped = 0u64;
@@ -49,21 +52,27 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
         let mut joins = 0u64;
         for ev in &events {
             match ev.kind {
-                "fork" => forks += field_u64(ev, "new_worlds"),
-                "prune" => pruned += field_u64(ev, "dropped"),
+                "fork" => forks += 1,
+                "prune" => pruned += 1,
                 "cap_hit" => cap_dropped += field_u64(ev, "dropped"),
                 "merge" => merged += field_u64(ev, "merged"),
                 "join" => joins += 1,
                 _ => {}
             }
         }
-        assert_eq!(forks, p.forks, "{name}: fork events ≠ fork counter");
-        assert_eq!(pruned, p.worlds_pruned, "{name}: prune events ≠ prune counter");
+        assert_eq!(forks, tree.forks() as u64, "{name}: fork events ≠ tree forks");
+        assert_eq!(pruned, tree.pruned_leaves() as u64, "{name}: prune events ≠ pruned leaves");
         assert_eq!(
-            cap_dropped, p.cap_dropped,
-            "{name}: cap_hit events ≠ cap counter"
+            cap_dropped,
+            tree.cap_dropped_leaves() as u64,
+            "{name}: cap_hit events ≠ cap-dropped leaves"
         );
-        assert_eq!(merged, p.merged, "{name}: merge events ≠ merged counter");
+        assert_eq!(merged, tree.merged_leaves() as u64, "{name}: merge events ≠ merged leaves");
+        assert_eq!(
+            (p.forks, p.worlds_pruned, p.cap_dropped, p.merged),
+            (forks, pruned, cap_dropped, merged),
+            "{name}: profile ≠ events"
+        );
         assert_eq!(joins, 1, "{name}: exactly one join event per analysis");
         assert_eq!(
             report.terminal_worlds as i64,
@@ -97,6 +106,8 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
         let snap = shoal_obs::snapshot();
         assert_eq!(snap.counter("engine.forks").unwrap_or(0), forks);
         assert_eq!(snap.counter("engine.pruned").unwrap_or(0), pruned);
+        assert_eq!(snap.counter("engine.cap_dropped").unwrap_or(0), cap_dropped);
+        assert_eq!(snap.counter("engine.merged").unwrap_or(0), merged);
         assert_eq!(
             snap.gauge("engine.peak_live_worlds"),
             Some(p.peak_live_worlds as u64),
@@ -115,4 +126,30 @@ fn events_reconcile_with_report_and_round_trip_jsonl() {
             "{name}: report"
         );
     }
+
+    // Counters count executed work only: a fully replayed incremental
+    // analysis restores the checkpointed tree, so its profile carries
+    // the same counts while the recorder sees no fork or prune.
+    let mut session = IncrSession::new(AnalysisOptions {
+        profile: true,
+        ..AnalysisOptions::default()
+    });
+    let cold = session.analyze(figures::FIG1).unwrap();
+    install();
+    let warm = session.analyze(figures::FIG1).unwrap();
+    let events = take_events();
+    set_enabled(false);
+    assert_eq!(session.stats.last_executed, 0, "fig1 replays fully");
+    let counts = |r: &shoal_core::AnalysisReport| {
+        let p = r.profile.as_ref().expect("profile requested");
+        (p.forks, p.worlds_pruned, p.cap_dropped, p.merged)
+    };
+    assert_eq!(counts(&warm), counts(&cold), "replay changed the counts");
+    assert!(counts(&cold).0 > 0, "fig1 forks");
+    assert!(
+        !events.iter().any(|e| e.kind == "fork" || e.kind == "prune"),
+        "replay emitted fork/prune events"
+    );
+    let snap = shoal_obs::snapshot();
+    assert_eq!(snap.counter("engine.forks"), None);
 }

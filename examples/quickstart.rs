@@ -21,7 +21,7 @@ fn main() {
         if dangers.is_empty() {
             println!(
                 "verdict: SAFE across all {} explored executions\n",
-                report.paths_completed
+                report.terminal_worlds
             );
         } else {
             for d in dangers {

@@ -234,12 +234,12 @@ fn scaling_scripts_analyze() {
     use shoal::corpus::scale;
     for n in [10, 50] {
         let report = analyze_source(&scale::straight_line(n)).unwrap();
-        assert!(report.paths_completed >= 1);
+        assert!(report.terminal_worlds >= 1);
     }
     let branchy = analyze_source(&scale::branchy(8)).unwrap();
-    assert!(branchy.paths_completed >= 1);
+    assert!(branchy.terminal_worlds >= 1);
     let pipes = analyze_source(&scale::wide_pipeline(12)).unwrap();
-    assert!(pipes.paths_completed >= 1);
+    assert!(pipes.terminal_worlds >= 1);
     let loops = analyze_source(&scale::loopy(5)).unwrap();
-    assert!(loops.paths_completed >= 1);
+    assert!(loops.terminal_worlds >= 1);
 }
