@@ -14,8 +14,13 @@
 //!   (statement-level summary replay, byte-identical to cold analysis);
 //! * `didOpen` consults the JIT daemon's two-tier result cache (same
 //!   content-addressed keys, same on-disk format) for a cross-session
-//!   warm start, and every fresh analysis is written back, so the CLI,
-//!   the daemon, and the editor share one verdict store;
+//!   warm start, so the CLI, the daemon, and the editor share one
+//!   verdict store. Only texts that can be opened again are written
+//!   back: an opened text that missed (it is the file on disk), and a
+//!   document's last edited text at `didClose` or `shutdown`. A
+//!   `didChange` analyzes and publishes without touching the cache —
+//!   its mid-edit text is never on disk, so no later lookup could hit
+//!   it;
 //! * published diagnostics carry provenance: each finding's typed
 //!   constraint trail becomes LSP `relatedInformation`, pointing at the
 //!   `if`/`case`/`test` sites whose assumptions produced the world that
@@ -39,12 +44,16 @@ use shoal_obs::json::Json;
 /// result cache exists for cross-session warm starts).
 const CACHE_HOT_CAPACITY: usize = 32;
 
-/// One open document: its current full text and the incremental
-/// session accumulated over its edit history.
+/// One open document: its current full text, the incremental session
+/// accumulated over its edit history, and the latest analysis the
+/// result cache does not hold yet.
 struct Document {
     text: String,
     version: Option<f64>,
     session: IncrSession,
+    /// The report of the last analysis and whether it came from the
+    /// resilient fallback; `None` once the cache holds the current text.
+    unsaved: Option<(AnalysisReport, bool)>,
 }
 
 /// The server state behind one stdio connection.
@@ -60,8 +69,8 @@ pub struct Server<W: Write> {
 
 impl<W: Write> Server<W> {
     /// A server writing responses/notifications to `out`, warm-starting
-    /// from (and writing back to) the daemon result cache rooted at
-    /// `cache_dir` when given.
+    /// from (and writing opened and closed texts back to) the daemon
+    /// result cache rooted at `cache_dir` when given.
     pub fn new(out: W, cache_dir: Option<PathBuf>) -> Server<W> {
         Server {
             out,
@@ -112,6 +121,10 @@ impl<W: Write> Server<W> {
             }
             "initialized" => {}
             "shutdown" => {
+                let uris: Vec<String> = self.docs.keys().cloned().collect();
+                for uri in &uris {
+                    self.persist(uri);
+                }
                 self.shutdown_requested = true;
                 self.respond(id, Json::Null);
             }
@@ -128,7 +141,12 @@ impl<W: Write> Server<W> {
                 }
                 self.docs.insert(
                     uri.clone(),
-                    Document { text, version, session: IncrSession::new(self.opts.clone()) },
+                    Document {
+                        text,
+                        version,
+                        session: IncrSession::new(self.opts.clone()),
+                        unsaved: None,
+                    },
                 );
                 self.open_document(&uri);
             }
@@ -164,6 +182,7 @@ impl<W: Write> Server<W> {
                     .and_then(Json::as_str)
                     .unwrap_or("")
                     .to_string();
+                self.persist(&uri);
                 if self.docs.remove(&uri).is_some() {
                     // Clear our diagnostics for the closed document.
                     let version = None;
@@ -182,7 +201,9 @@ impl<W: Write> Server<W> {
 
     /// `didOpen`: try the shared result cache first (cross-session warm
     /// start — publishes the cached verdict without running the
-    /// engine), then fall back to a fresh analysis.
+    /// engine), then fall back to a fresh analysis, written back at
+    /// once: the opened text is the file on disk, which `shoal jit` and
+    /// later sessions look up.
     fn open_document(&mut self, uri: &str) {
         let Some(doc) = self.docs.get(uri) else { return };
         let key = self.key_for(&doc.text, false);
@@ -201,12 +222,13 @@ impl<W: Write> Server<W> {
             return;
         }
         self.analyze_document(uri);
+        self.persist(uri);
     }
 
     /// Runs the document's incremental session over its current text
     /// (resilient cold analysis when it does not parse — mid-edit
-    /// documents still get diagnostics), publishes, and writes the
-    /// verdict back to the shared cache.
+    /// documents still get diagnostics), keeps the report as the
+    /// document's unsaved verdict, and publishes.
     fn analyze_document(&mut self, uri: &str) {
         let Some(doc) = self.docs.get_mut(uri) else { return };
         let (report, resilient): (AnalysisReport, bool) = match doc.session.analyze(&doc.text) {
@@ -215,11 +237,21 @@ impl<W: Write> Server<W> {
         };
         let diags = Json::Arr(report.diagnostics.iter().map(diag_json).collect());
         let (version, lsp) = (doc.version, lsp_diagnostics(&diags, &doc.text, uri));
+        doc.unsaved = Some((report, resilient));
+        self.publish(uri, version, lsp);
+    }
+
+    /// Writes the document's unsaved verdict to the shared cache under
+    /// the key of its current text (the resilient key for a text that
+    /// does not parse); a no-op when the cache already holds that text.
+    fn persist(&mut self, uri: &str) {
+        let unsaved = self.docs.get_mut(uri).and_then(|d| d.unsaved.take());
+        let Some((report, resilient)) = unsaved else { return };
         let key = self.key_for(&self.docs[uri].text, resilient);
         if let Some(cache) = self.cache.as_mut() {
+            shoal_obs::counter_add("lsp.cache_writes", 1);
             cache.put(key, shoal_daemon::entry_from_report(&report));
         }
-        self.publish(uri, version, lsp);
     }
 
     /// The daemon's content-addressed key for this text under the

@@ -1,17 +1,23 @@
 //! End-to-end LSP sessions over in-memory pipes: a full
-//! initialize → didOpen → didChange → shutdown → exit conversation, and
-//! a cross-session warm start through the shared daemon cache.
+//! initialize → didOpen → didChange → shutdown → exit conversation, a
+//! cross-session warm start through the shared daemon cache, and which
+//! texts that cache receives.
 
+use std::collections::BTreeSet;
 use std::io::Cursor;
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use shoal_core::AnalysisOptions;
 use shoal_corpus::figures::FIG1;
+use shoal_daemon::cache::{cache_key, KeyParts};
 use shoal_lsp::{read_message, write_message, Server};
 use shoal_obs::json::Json;
 
 /// A fresh scratch directory under the system temp dir (the workspace
 /// has no tempfile dependency).
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+fn scratch_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "shoal-lsp-test-{}-{}-{}",
@@ -81,6 +87,38 @@ fn did_change(uri: &str, version: f64, text: &str) -> Json {
             ),
         ]),
     )
+}
+
+fn did_close(uri: &str) -> Json {
+    notif(
+        "textDocument/didClose",
+        obj(vec![("textDocument", obj(vec![("uri", Json::Str(uri.into()))]))]),
+    )
+}
+
+/// The cache key the server files `text` under.
+fn key(text: &str, resilient: bool) -> String {
+    cache_key(&KeyParts {
+        source: text,
+        options: &AnalysisOptions::default(),
+        resilient,
+        spec_fingerprint: shoal_spec::SpecLibrary::builtin().fingerprint(),
+        version: shoal_daemon::version(),
+    })
+}
+
+/// The keys of the entries on disk under a cache directory.
+fn disk_keys(dir: &Path) -> BTreeSet<String> {
+    let mut keys = BTreeSet::new();
+    for shard in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        for entry in std::fs::read_dir(shard.path()).into_iter().flatten().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if let Some(key) = name.strip_suffix(".json") {
+                keys.insert(key.to_string());
+            }
+        }
+    }
+    keys
 }
 
 /// Reads every framed server→client message out of the captured output.
@@ -267,4 +305,81 @@ fn exit_without_shutdown_is_an_error_exit() {
     let mut out = Vec::new();
     let code = Server::new(&mut out, None).serve(&mut Cursor::new(input));
     assert_eq!(code, 1);
+}
+
+#[test]
+fn edits_reach_the_cache_only_when_the_document_closes() {
+    let dir = scratch_dir("persist");
+    let uri = "file:///fig1.sh";
+    let edits: Vec<String> = (1..=4).map(|i| format!("{FIG1}echo {i}\n")).collect();
+    let last = edits.last().unwrap().as_str();
+
+    let mut out = Vec::new();
+    let mut server = Server::new(&mut out, Some(dir.clone()));
+    let mut input = vec![req(1.0, "initialize", obj(vec![])), did_open(uri, FIG1)];
+    for (i, text) in edits.iter().enumerate() {
+        input.push(did_change(uri, i as f64 + 2.0, text));
+    }
+    server.serve(&mut Cursor::new(frame(&input)));
+    assert_eq!(
+        disk_keys(&dir),
+        BTreeSet::from([key(FIG1, false)]),
+        "edits write nothing: the opened text's entry is the only one"
+    );
+    server.serve(&mut Cursor::new(frame(&[did_close(uri)])));
+    assert_eq!(
+        disk_keys(&dir),
+        BTreeSet::from([key(FIG1, false), key(last, false)]),
+        "didClose writes the final text's entry"
+    );
+    drop(server);
+    let msgs = drain(out);
+    let pubs = publishes(&msgs, uri);
+    assert_eq!(pubs.len(), edits.len() + 2, "didOpen, each didChange, and didClose publish");
+    assert_eq!(pubs[pubs.len() - 1].to_text(), "[]", "didClose clears the diagnostics");
+    let edited = pubs[pubs.len() - 2].to_text();
+
+    // A second server opening the final text publishes from the entry
+    // written at close: a hit leaves the file as it was.
+    let path = dir.join(&key(last, false)[..2]).join(format!("{}.json", key(last, false)));
+    let inode = std::fs::metadata(&path).expect("the closed text's entry").ino();
+    let mut warm_out = Vec::new();
+    Server::new(&mut warm_out, Some(dir.clone()))
+        .serve(&mut Cursor::new(frame(&[did_open(uri, last)])));
+    assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "the entry is not rewritten");
+    let warm = publishes(&drain(warm_out), uri)[0].to_text();
+    assert_eq!(warm, edited, "the cached verdict is byte-identical to the live one");
+    assert!(warm.contains("dangerous-delete"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_writes_the_entries_of_edited_open_documents() {
+    let dir = scratch_dir("shutdown");
+    let edited = format!("{FIG1}echo done\n");
+    let broken = "rm -rf \"$1\nif then fi\n";
+    let input = frame(&[
+        req(1.0, "initialize", obj(vec![])),
+        did_open("file:///edited.sh", FIG1),
+        did_change("file:///edited.sh", 2.0, &edited),
+        did_open("file:///broken.sh", "echo ok\n"),
+        did_change("file:///broken.sh", 2.0, broken),
+        did_open("file:///clean.sh", "echo clean\n"),
+        req(2.0, "shutdown", Json::Null),
+        notif("exit", Json::Null),
+    ]);
+    let code = Server::new(&mut Vec::new(), Some(dir.clone())).serve(&mut Cursor::new(input));
+    assert_eq!(code, 0);
+    assert_eq!(
+        disk_keys(&dir),
+        BTreeSet::from([
+            key(FIG1, false),
+            key(&edited, false),
+            key("echo ok\n", false),
+            // A text that does not parse is filed under the resilient key.
+            key(broken, true),
+            key("echo clean\n", false),
+        ])
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

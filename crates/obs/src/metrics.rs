@@ -5,7 +5,8 @@
 //! instrumented hot paths (regex operations, monitor lines, fixpoint
 //! iterations) cost one relaxed atomic load when observability is off.
 //! When on, each update takes the global mutex — acceptable for
-//! profiling runs, which are explicitly opt-in.
+//! profiling runs, which are explicitly opt-in — and allocates only
+//! the first time a name is used.
 
 use crate::hist::LogHistogram;
 use crate::recorder::enabled;
@@ -31,11 +32,19 @@ pub fn reset() {
     *STORE.lock().unwrap() = None;
 }
 
+/// The value under `name`, inserted (the only allocation) on first use.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// Adds to a named counter. No-op while recording is disabled.
 #[inline]
 pub fn counter_add(name: &'static str, n: u64) {
     if enabled() {
-        with_store(|s| *s.counters.entry(name.to_string()).or_insert(0) += n);
+        with_store(|s| *slot(&mut s.counters, name) += n);
     }
 }
 
@@ -44,7 +53,7 @@ pub fn counter_add(name: &'static str, n: u64) {
 pub fn gauge_max(name: &'static str, v: u64) {
     if enabled() {
         with_store(|s| {
-            let g = s.gauges.entry(name.to_string()).or_insert(0);
+            let g = slot(&mut s.gauges, name);
             *g = (*g).max(v);
         });
     }
@@ -54,14 +63,14 @@ pub fn gauge_max(name: &'static str, v: u64) {
 #[inline]
 pub fn hist_record(name: &'static str, v: u64) {
     if enabled() {
-        hist_record_name(name.to_string(), v);
+        hist_record_name(name, v);
     }
 }
 
 /// Like [`hist_record`] for dynamically-built names (callers must have
-/// checked `enabled()` or accept the allocation).
-pub(crate) fn hist_record_name(name: String, v: u64) {
-    with_store(|s| s.histograms.entry(name).or_default().record(v));
+/// checked `enabled()`).
+pub(crate) fn hist_record_name(name: &str, v: u64) {
+    with_store(|s| slot(&mut s.histograms, name).record(v));
 }
 
 /// A point-in-time copy of every metric.

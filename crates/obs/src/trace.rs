@@ -113,7 +113,7 @@ fn trace_add(name: &'static str, us: u64) {
 }
 
 fn record_phase(name: &'static str, us: u64) {
-    crate::metrics::hist_record_name(format!("phase.{name}.us"), us);
+    crate::metrics::hist_record_name(&format!("phase.{name}.us"), us);
     crate::recorder::record_event(
         "span",
         vec![("name", Value::Str(name.to_string())), ("duration_us", Value::U64(us))],

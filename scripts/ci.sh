@@ -257,43 +257,6 @@ if [ "$chaos_fail" = 1 ]; then
     exit 1
 fi
 
-# LSP smoke gate: drive a complete editor session over stdio —
-# initialize, didOpen Fig. 1, a didChange appending a comment, then a
-# clean shutdown/exit. The server must publish diagnostics for both
-# versions, the Fig. 1 findings must include the dangerous-delete
-# error, and at least one diagnostic must carry provenance-backed
-# relatedInformation.
-echo "==> lsp: smoke session (initialize -> didOpen fig1 -> didChange -> diagnostics)"
-lsp_dir=/tmp/shoal-ci-lsp.$$
-rm -rf "$lsp_dir"
-mkdir -p "$lsp_dir"
-fig1_json=$(awk 'BEGIN { ORS="" } { gsub(/\\/, "\\\\"); gsub(/"/, "\\\""); print $0 "\\n" }' examples/fig1.sh)
-frame() { printf 'Content-Length: %s\r\n\r\n%s' "${#1}" "$1"; }
-{
-    frame '{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}'
-    frame '{"jsonrpc":"2.0","method":"initialized","params":{}}'
-    frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didOpen\",\"params\":{\"textDocument\":{\"uri\":\"file:///fig1.sh\",\"version\":1,\"text\":\"$fig1_json\"}}}"
-    frame "{\"jsonrpc\":\"2.0\",\"method\":\"textDocument/didChange\",\"params\":{\"textDocument\":{\"uri\":\"file:///fig1.sh\",\"version\":2},\"contentChanges\":[{\"text\":\"$fig1_json#edit\\n\"}]}}"
-    frame '{"jsonrpc":"2.0","id":2,"method":"shutdown","params":null}'
-    frame '{"jsonrpc":"2.0","method":"exit","params":null}'
-} > "$lsp_dir/session.in"
-lsp_fail=0
-SHOAL_CACHE_DIR="$lsp_dir/cache" target/release/shoal lsp < "$lsp_dir/session.in" > "$lsp_dir/session.out" \
-    || { echo "FAIL: shoal lsp exited non-zero after a clean shutdown"; lsp_fail=1; }
-publishes=$(grep -c '"method":"textDocument/publishDiagnostics"' "$lsp_dir/session.out" || true)
-if [ "${publishes:-0}" -lt 2 ]; then
-    echo "FAIL: lsp session published $publishes diagnostic sets (want one per didOpen/didChange)"
-    lsp_fail=1
-fi
-grep -q 'dangerous-delete' "$lsp_dir/session.out" \
-    || { echo "FAIL: fig1 diagnostics carry no dangerous-delete finding"; lsp_fail=1; }
-grep -q '"relatedInformation"' "$lsp_dir/session.out" \
-    || { echo "FAIL: diagnostics carry no provenance-backed relatedInformation"; lsp_fail=1; }
-rm -rf "$lsp_dir"
-if [ "$lsp_fail" = 1 ]; then
-    exit 1
-fi
-
 # Service load smoke: a short closed-loop bench-service run against a
 # private daemon must complete with zero verdict mismatches (exit 0)
 # and emit the percentile keys BENCH_daemon.json records; the overload

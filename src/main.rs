@@ -30,6 +30,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
+    // `--help` anywhere after a subcommand asks for the usage, not for
+    // a script or an option of that name.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let (obs, rest) = match ObsFlags::extract(rest) {
         Ok(x) => x,
         Err(e) => {

@@ -9,6 +9,10 @@ use shoal::lint::lint_source;
 use shoal::miner::{evaluate_mined, mine_command};
 use shoal::monitor::{verify_source, Policy};
 use shoal::spec::SpecLibrary;
+use shoal_obs::json::Json;
+use std::io::Write;
+use std::path::Path;
+use std::process::{Command, Stdio};
 
 /// E1 in miniature: the analyzer separates the three figures; the
 /// baseline cannot.
@@ -242,4 +246,101 @@ fn scaling_scripts_analyze() {
     assert!(pipes.terminal_worlds >= 1);
     let loops = analyze_source(&scale::loopy(5)).unwrap();
     assert!(loops.terminal_worlds >= 1);
+}
+
+/// Runs the `shoal` binary with `args`, feeding it `stdin`.
+fn run_shoal(args: &[&str], env: &[(&str, &Path)], stdin: &[u8]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_shoal"))
+        .args(args)
+        .envs(env.iter().copied())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns shoal");
+    child.stdin.take().unwrap().write_all(stdin).expect("writes stdin");
+    child.wait_with_output().expect("shoal exits")
+}
+
+/// `--help` after a subcommand prints the usage and exits 0, rather
+/// than being read as a script path or an unknown option.
+#[test]
+fn subcommand_help_prints_the_usage() {
+    for cmd in ["analyze", "check", "scan", "lsp", "jit"] {
+        for flag in ["--help", "-h"] {
+            let out = run_shoal(&[cmd, flag], &[], b"");
+            assert_eq!(out.status.code(), Some(0), "shoal {cmd} {flag}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("USAGE:"), "shoal {cmd} {flag} printed {stdout:?}");
+        }
+    }
+}
+
+/// `shoal lsp` over stdio: initialize, didOpen Fig. 1, a didChange
+/// appending a comment, then a clean shutdown/exit. The server exits 0,
+/// publishes once per didOpen and per didChange, reports the
+/// dangerous-delete error with provenance-backed relatedInformation,
+/// and leaves in the cache the opened text's entry and, written at
+/// shutdown, the edited text's.
+#[test]
+fn lsp_session_over_stdio() {
+    let dir = std::env::temp_dir().join(format!("shoal-lsp-stdio-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.join("cache");
+    let fig1 = figures::FIG1;
+    let edited = format!("{fig1}#edit\n");
+    let (opened, changed) = (Json::Str(fig1.into()).to_text(), Json::Str(edited.clone()).to_text());
+    let doc = r#""uri":"file:///fig1.sh""#;
+    let mut input = Vec::new();
+    for body in [
+        r#"{"jsonrpc":"2.0","id":1,"method":"initialize","params":{}}"#.to_string(),
+        r#"{"jsonrpc":"2.0","method":"initialized","params":{}}"#.to_string(),
+        format!(
+            r#"{{"jsonrpc":"2.0","method":"textDocument/didOpen","params":{{"textDocument":{{{doc},"version":1,"text":{opened}}}}}}}"#
+        ),
+        format!(
+            r#"{{"jsonrpc":"2.0","method":"textDocument/didChange","params":{{"textDocument":{{{doc},"version":2}},"contentChanges":[{{"text":{changed}}}]}}}}"#
+        ),
+        r#"{"jsonrpc":"2.0","id":2,"method":"shutdown","params":null}"#.to_string(),
+        r#"{"jsonrpc":"2.0","method":"exit","params":null}"#.to_string(),
+    ] {
+        input.extend(format!("Content-Length: {}\r\n\r\n{body}", body.len()).into_bytes());
+    }
+
+    let out = run_shoal(&["lsp"], &[("SHOAL_CACHE_DIR", &cache)], &input);
+    assert_eq!(out.status.code(), Some(0), "exit after shutdown exits 0");
+    let mut reader = std::io::Cursor::new(out.stdout);
+    let mut publishes = Vec::new();
+    while let Some(msg) = shoal::lsp::read_message(&mut reader) {
+        if msg.get("method").and_then(Json::as_str) == Some("textDocument/publishDiagnostics") {
+            publishes.push(msg.get("params").and_then(|p| p.get("diagnostics")).unwrap().to_text());
+        }
+    }
+    assert_eq!(publishes.len(), 2, "one publish per didOpen and per didChange");
+    for diags in &publishes {
+        assert!(diags.contains(r#""dangerous-delete""#), "no dangerous-delete in {diags}");
+        assert!(diags.contains(r#""relatedInformation""#), "no relatedInformation in {diags}");
+    }
+
+    let entry = |text: &str| {
+        let key = shoal_daemon::cache::cache_key(&shoal_daemon::cache::KeyParts {
+            source: text,
+            options: &AnalysisOptions::default(),
+            resilient: false,
+            spec_fingerprint: SpecLibrary::builtin().fingerprint(),
+            version: shoal_daemon::version(),
+        });
+        format!("{key}.json")
+    };
+    let mut entries: Vec<String> = std::fs::read_dir(&cache)
+        .expect("the cache directory exists")
+        .flatten()
+        .flat_map(|shard| std::fs::read_dir(shard.path()).into_iter().flatten().flatten())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    let mut want = vec![entry(fig1), entry(&edited)];
+    want.sort();
+    assert_eq!(entries, want, "the opened and the edited text, nothing else");
+    let _ = std::fs::remove_dir_all(&dir);
 }
