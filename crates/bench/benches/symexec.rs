@@ -12,9 +12,9 @@ use shoal_obs::bench::{bench, black_box, header};
 /// `analyze_source_with` of the script; `edit` analyzes the same
 /// script plus a fresh one-line trailing statement through a warm
 /// [`IncrSession`], so every iteration replays the whole prefix from
-/// the summary cache and executes exactly one statement. The
-/// `cold / edit` ratio is the headline incremental speedup
-/// (acceptance: >= 5x on the 200-statement scripts).
+/// the previous version's checkpoints and executes exactly one
+/// statement. The `cold / edit` ratio is the headline incremental
+/// speedup (acceptance: >= 5x on the 200-statement scripts).
 fn bench_incr_pair(tag: &str, base: &str) {
     bench(&format!("incr/{tag}_cold"), || {
         black_box(analyze_source_with(black_box(base), AnalysisOptions::default()).unwrap());
@@ -61,7 +61,7 @@ fn main() {
 
     // The incremental engine's acceptance pair: a trailing one-line
     // edit on a 200-statement script must beat a cold analysis by 5x+
-    // (the prefix replays from per-statement summaries).
+    // (the prefix replays from per-statement checkpoints).
     bench_incr_pair("straight_line_200", &scale::straight_line(200));
     bench_incr_pair("loopy_200", &scale::loopy(200));
 

@@ -4,53 +4,46 @@
 //! the top-level statements. This module makes that fold *resumable*:
 //! after every statement it checkpoints the full engine-visible state
 //! (live worlds, world tree, engine statistics, audit recorder,
-//! accumulated relang approximation events) and files the checkpoint in
-//! a summary cache keyed by
+//! accumulated relang approximation events). A session keeps one
+//! previous version only: for each statement of the last analyzed
+//! script, its canonical text ([`shoal_shparse::canonical_item`],
+//! here-document bodies included), its layout (raw source slice, byte
+//! offset and line) and the checkpoint after it.
 //!
-//! ```text
-//! (canonical statement hash, input-state fingerprint)
-//! ```
+//! **Replay.** On re-analysis the session compares the new script's
+//! statements with the last version's, from the top. The leading
+//! statements whose canonical text and layout are both unchanged
+//! replay; the walk stops at the first statement that differs (the
+//! *dirty suffix*). Only the deepest replayed checkpoint is cloned back
+//! into a fresh engine — O(live worlds) thanks to structural sharing —
+//! and the remaining statements are re-executed and recorded in place
+//! of the old suffix. Editing line 900 of a 1000-line script replays
+//! 899 statements and executes the rest; inserting a blank line above a
+//! statement re-executes it and everything below. An edit to the inline
+//! annotations (the only input besides the statements that changes the
+//! starting state; the options are fixed for the session) replays
+//! nothing.
 //!
-//! The statement hash hashes the pretty-printed canonical subtree
-//! ([`shoal_shparse::canonical_item`], here-document bodies included).
-//! The *initial* fingerprint is a stable digest over the COW containers
-//! that make up the starting [`World`] (their `Debug` renderings are
-//! deterministic by construction), plus the world tree, stats, audit
-//! state, and the options/annotations context. Every subsequent
-//! fingerprint is *chained*: `fp_out = H(fp_in, canonical statement
-//! text)`. Chaining is sound because [`Engine::step`] is deterministic —
-//! equal input states fed equal statements produce equal output states
-//! — and it makes recording a summary O(statement) instead of
-//! O(abstract state), which is what keeps a one-line edit far cheaper
-//! than a cold run even when the symbolic state is large.
-//!
-//! **Replay.** On re-analysis the session walks the new script's
-//! statements, chaining `fingerprint → summary → stored output
-//! fingerprint → next lookup` with zero state materialization. A cached
-//! statement replays only when its canonical text equals the recorded
-//! one and it, and every statement above it, has the raw source slice,
-//! byte offset and line it had when the summary was recorded (one
-//! chained digest, `StmtInfo::layout`, compares all of that). The
-//! walk stops at the first statement that misses or moved (the *dirty
-//! suffix*). Only there is the deepest checkpoint cloned back into a
-//! fresh engine — O(live worlds) thanks to structural sharing — and the
-//! remaining statements re-executed. Editing line 900 of a 1000-line
-//! script replays 899 cached summaries and executes the rest; inserting
-//! a blank line above a statement re-executes it and everything below.
+//! **Memory.** A session holds at most one checkpoint per statement of
+//! the last analyzed version. The superseded suffix is set aside and
+//! freed by [`IncrSession::release`], which the LSP server calls after
+//! it has published, so the frees stay off the edit's latency.
 //!
 //! **Byte-identity.** Both paths share [`crate::analyze`]'s prologue
 //! and finalization verbatim. A replayed prefix is the same statements
-//! at the same positions fed the same starting state, so its checkpoint
-//! — spans, trails, world-tree lines, audit sites — is exactly what a
-//! cold run reaches there, and by induction the incremental report body
-//! is byte-identical to a cold run's. The `tests/incr.rs` suite
-//! enforces this over the figures, the example corpus and random edits.
+//! at the same positions fed the same starting state, and
+//! [`Engine::step`] is deterministic, so its checkpoint — spans,
+//! trails, world-tree lines, audit sites — is exactly what a cold run
+//! reaches there, and by induction the incremental report body is
+//! byte-identical to a cold run's. The `tests/incr.rs` suite enforces
+//! this over the figures, the example corpus and random edits.
 //!
 //! **Fallback-to-full.** Fuel/deadline budgets charge per statement
 //! *executed*, which replay skips, so budgeted analyses decline
 //! incrementality entirely and run the cold path.
+//!
+//! [`Engine::step`]: crate::engine::Engine::step
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::analyze::{
@@ -58,11 +51,9 @@ use crate::analyze::{
 };
 use crate::annotations::Annotations;
 use crate::audit::AuditRecorder;
-use crate::engine::Engine;
 use crate::provenance::WorldTree;
 use crate::stats::CapHit;
 use crate::world::World;
-use shoal_obs::hash::fnv1a64;
 use shoal_relang::ApproxReason;
 use shoal_shparse::{canonical_item, parse_script, ParseError, Script};
 
@@ -72,7 +63,7 @@ use shoal_shparse::{canonical_item, parse_script, ParseError, Script};
 pub struct IncrStats {
     /// Analyses served by this session.
     pub runs: u64,
-    /// Statements replayed from summaries (never executed).
+    /// Statements replayed from checkpoints (never executed).
     pub replayed: u64,
     /// Statements actually executed.
     pub executed: u64,
@@ -88,6 +79,8 @@ pub struct IncrStats {
 /// a fresh [`Engine`] and executing the remaining statements is
 /// indistinguishable from having executed the whole prefix. World and
 /// audit containers are COW, so the snapshot cost is O(live worlds).
+///
+/// [`Engine`]: crate::engine::Engine
 #[derive(Debug, Clone)]
 struct Checkpoint {
     worlds: Vec<World>,
@@ -101,53 +94,44 @@ struct Checkpoint {
     approx: Vec<ApproxReason>,
 }
 
-/// One cached statement summary: the output-state fingerprint (for
-/// chaining without materialization), the checkpoint, and what the
-/// replay rule compares.
-#[derive(Debug, Clone)]
-struct StmtSummary {
-    fp_out: u128,
-    /// Canonical rendering — compared on hit so a 64-bit hash collision
-    /// can never replay the wrong statement.
+/// One statement of the last analyzed version: what the replay rule
+/// compares, and the state after it.
+struct Recorded {
+    /// Canonical rendering. Here-document bodies live outside the raw
+    /// source slice but inside this text, so body edits re-execute.
     canon: String,
-    /// [`StmtInfo::layout`] at record time.
-    layout: u128,
-    generation: u64,
+    /// Byte offset, line and raw source slice. The checkpoint holds
+    /// positions from the whole prefix, so a statement replays only if
+    /// it and every statement above it kept their layout.
+    layout: String,
     chk: Checkpoint,
 }
 
-/// One statement of the script being analyzed.
-struct StmtInfo {
-    hash: u64,
-    canon: String,
-    /// Chained digest of the raw source slice, byte offset and line of
-    /// this statement and of every statement before it. The checkpoint
-    /// after a statement holds positions from the whole prefix, so the
-    /// whole prefix must sit where it sat when the summary was
-    /// recorded. Here-document bodies live outside the raw slices but
-    /// inside `canon`, so body edits still miss the cache.
-    layout: u128,
-}
-
-/// A per-document incremental analysis session: owns the summary cache
-/// and serves repeated [`IncrSession::analyze`] calls over successive
-/// versions of one script.
+/// A per-document incremental analysis session: holds the last
+/// analyzed version and serves repeated [`IncrSession::analyze`] calls
+/// over successive versions of one script.
 pub struct IncrSession {
     opts: AnalysisOptions,
-    summaries: HashMap<(u64, u128), StmtSummary>,
-    generation: u64,
+    /// Rendering of the annotations the last version was analyzed under.
+    context: String,
+    /// One entry per executed statement of the last version, in order.
+    last: Vec<Recorded>,
+    /// The suffix the last analysis superseded, until [`Self::release`].
+    retired: Vec<Recorded>,
     /// Session counters (see [`IncrStats`]).
     pub stats: IncrStats,
 }
 
-/// Generations a summary survives without being hit before eviction
-/// considers it stale.
-const KEEP_GENERATIONS: u64 = 8;
-
 impl IncrSession {
-    /// A fresh session (empty summary cache) for the given options.
+    /// A fresh session (no previous version) for the given options.
     pub fn new(opts: AnalysisOptions) -> IncrSession {
-        IncrSession { opts, summaries: HashMap::new(), generation: 0, stats: IncrStats::default() }
+        IncrSession {
+            opts,
+            context: String::new(),
+            last: Vec::new(),
+            retired: Vec::new(),
+            stats: IncrStats::default(),
+        }
     }
 
     /// The options this session analyzes with.
@@ -155,15 +139,22 @@ impl IncrSession {
         &self.opts
     }
 
-    /// Live summary count (observability).
+    /// Checkpoints held for the last analyzed version (observability).
     pub fn summary_count(&self) -> usize {
-        self.summaries.len()
+        self.last.len()
+    }
+
+    /// Frees the checkpoints the last analysis superseded. Callers on a
+    /// latency path call it after they have delivered the report; left
+    /// uncalled, the next analysis frees them instead.
+    pub fn release(&mut self) {
+        self.retired = Vec::new();
     }
 
     /// Parses and analyzes one version of the document through the
     /// same front end as [`crate::analyze::analyze_source_with`] (parse
-    /// timing, malformed-annotation note), but serves the execution
-    /// from the summary cache where fingerprints allow.
+    /// timing, malformed-annotation note), but replays the statements
+    /// the last version shares with it.
     ///
     /// # Errors
     ///
@@ -179,11 +170,11 @@ impl IncrSession {
         Ok(report)
     }
 
-    /// The incremental engine proper: chain walk, frontier
-    /// materialization, dirty-suffix execution, summary recording,
-    /// shared finalization. Setup, charged from `t_setup` to the first
-    /// executed statement, includes the statement digests, the chain
-    /// walk and the frontier restore.
+    /// The incremental engine proper: prefix comparison, checkpoint
+    /// restore, dirty-suffix execution and recording, shared
+    /// finalization. Setup, charged from `t_setup` to the first
+    /// executed statement, includes the canonical renderings, the
+    /// comparison and the restore.
     fn run(
         &mut self,
         src: &str,
@@ -192,7 +183,6 @@ impl IncrSession {
         parse_us: u64,
         t_setup: Instant,
     ) -> AnalysisReport {
-        self.generation += 1;
         self.stats.runs += 1;
         shoal_obs::counter_add("incr.runs", 1);
         // Budgets charge per *executed* statement; replay would skip
@@ -207,53 +197,34 @@ impl IncrSession {
             return crate::analyze::analyze_timed(script, opts, annotations, parse_us, t_setup);
         }
 
-        let mut layout = 0;
-        let infos: Vec<StmtInfo> = script
+        let stmts: Vec<(String, String)> = script
             .items
             .iter()
             .map(|item| {
-                let (canon, _uses_heredoc) = canonical_item(script, item);
                 let span = item.and_or.span();
                 let raw = src.get(span.start..span.end).unwrap_or("");
-                layout = digest(&format!("{layout:x};{}:{};{raw}", span.start, span.line));
-                StmtInfo { hash: fnv1a64(canon.as_bytes()), canon, layout }
+                (canonical_item(script, item), format!("{}:{};{raw}", span.start, span.line))
             })
             .collect();
-        // The context digest folds everything that parameterizes the
-        // transition function but lives outside the stepped state:
-        // options and inline annotations.
-        let ctx = fnv1a64(
-            format!("{};{:?}", self.opts.canonical(), annotations).as_bytes(),
-        );
+        let context = format!("{annotations:?}");
+        let replayed = if context == self.context {
+            self.last
+                .iter()
+                .zip(&stmts)
+                .take_while(|(r, (canon, layout))| r.canon == *canon && r.layout == *layout)
+                .count()
+        } else {
+            0
+        };
+        self.context = context;
+        self.retired = self.last.split_off(replayed);
 
         let (engine, initial) = prologue(script, self.opts.clone(), annotations);
         let mut worlds = vec![initial];
         engine.stats.note_live(worlds.len());
         let mut approx: Vec<ApproxReason> = Vec::new();
-        let fp0 = fingerprint(&engine, &worlds, &approx, ctx);
-
-        // Chain walk: zero digests, zero materialization — each hit
-        // hands over the stored output fingerprint for the next lookup.
-        // The walk stops at the first statement that misses or that
-        // moved, itself or through a statement above it.
-        let mut replayed = 0;
-        let mut frontier: Option<(u64, u128)> = None;
-        let mut fp_cur = fp0;
-        for info in &infos {
-            let key = (info.hash, fp_cur);
-            let Some(s) = self.summaries.get_mut(&key) else { break };
-            if s.canon != info.canon || s.layout != info.layout {
-                break;
-            }
-            s.generation = self.generation;
-            fp_cur = s.fp_out;
-            frontier = Some(key);
-            replayed += 1;
-        }
-
-        // Materialize the frontier into the fresh engine.
-        if let Some(key) = frontier {
-            let chk = self.summaries[&key].chk.clone();
+        if let Some(r) = self.last.last() {
+            let chk = r.chk.clone();
             engine.tree.replace(chk.tree);
             engine.stats.peak_live.set(chk.peak_live);
             *engine.stats.cap_hits.borrow_mut() = chk.cap_hits;
@@ -262,11 +233,11 @@ impl IncrSession {
             approx = chk.approx;
         }
 
-        // Execute the dirty suffix, recording a summary per statement.
-        let executed = infos.len() - replayed;
+        // Execute the dirty suffix, recording a checkpoint per statement.
+        let executed = stmts.len() - replayed;
         let t_start = Instant::now();
         let setup_us = (t_start - t_setup).as_micros() as u64;
-        for (info, item) in infos[replayed..].iter().zip(&script.items[replayed..]) {
+        for ((canon, layout), item) in stmts.into_iter().zip(&script.items).skip(replayed) {
             let (next, keep_going) = engine.step(worlds, item);
             worlds = next;
             approx.extend(shoal_relang::take_approx_hits());
@@ -281,18 +252,7 @@ impl IncrSession {
                 audit: engine.audit.borrow().clone(),
                 approx: approx.clone(),
             };
-            let fp_out = chain_fp(fp_cur, &info.canon);
-            self.summaries.insert(
-                (info.hash, fp_cur),
-                StmtSummary {
-                    fp_out,
-                    canon: info.canon.clone(),
-                    layout: info.layout,
-                    generation: self.generation,
-                    chk,
-                },
-            );
-            fp_cur = fp_out;
+            self.last.push(Recorded { canon, layout, chk });
         }
         let exec_us = t_start.elapsed().as_micros() as u64;
 
@@ -304,77 +264,13 @@ impl IncrSession {
         shoal_obs::counter_add("incr.executed", executed as u64);
         shoal_obs::event!(
             "incr_replay",
-            statements = infos.len(),
+            statements = executed + replayed,
             replayed = replayed,
             executed = executed,
-            summaries = self.summaries.len()
+            summaries = self.last.len()
         );
-        self.evict();
         finalize(&engine, worlds, approx, [parse_us, setup_us, exec_us], t_start)
     }
-
-    /// Drops summaries not hit for [`KEEP_GENERATIONS`] analyses once
-    /// the cache outgrows its working set — sessions track documents
-    /// whose history is mostly shared, so this keeps memory proportional
-    /// to the document, not to the edit count.
-    fn evict(&mut self) {
-        let cap = 1024;
-        if self.summaries.len() > cap {
-            let floor = self.generation.saturating_sub(KEEP_GENERATIONS);
-            self.summaries.retain(|_, s| s.generation >= floor);
-        }
-    }
-}
-
-/// Digest of the full engine-visible *starting* state: worlds, tree,
-/// engine statistics, audit state, approximation events, and the
-/// options/annotations context — every input the execution and the
-/// finalization read. Built from `Debug` renderings: every container
-/// involved (CowVec/CowMap/CowList, Pmap, BTreeMap) iterates
-/// deterministically, making the rendering a canonical form. Only the
-/// chain root is digested this way — the initial state is tiny — and
-/// every later fingerprint comes from [`chain_fp`].
-fn fingerprint(engine: &Engine, worlds: &[World], approx: &[ApproxReason], ctx: u64) -> u128 {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(1024);
-    let _ = write!(s, "ctx={ctx:x};");
-    for w in worlds {
-        let _ = write!(s, "{w:?};");
-    }
-    let _ = write!(s, "tree={:?};", engine.tree.borrow());
-    let st = &engine.stats;
-    let _ = write!(
-        s,
-        "peak={};hits={:?};",
-        st.peak_live.get(),
-        st.cap_hits.borrow()
-    );
-    let _ = write!(s, "audit={:?};approx={approx:?}", engine.audit.borrow());
-    digest(&s)
-}
-
-/// The output fingerprint of executing one statement from the state
-/// fingerprinted by `fp_in`: a digest of the pair (input fingerprint,
-/// canonical statement text). Sound because the transition function is
-/// deterministic — equal abstract states fed equal statements reach
-/// equal abstract states — so the chain value identifies the output
-/// state without ever rendering it (recording a summary costs
-/// O(statement), not O(abstract state)). The full canonical text goes
-/// into the digest, not its 64-bit hash, so a statement-hash collision
-/// cannot merge two different chains.
-fn chain_fp(fp_in: u128, canon: &str) -> u128 {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(canon.len() + 40);
-    let _ = write!(s, "fp={fp_in:x};stmt=");
-    s.push_str(canon);
-    digest(&s)
-}
-
-/// 128-bit digest: two seeded FNV-1a passes.
-fn digest(s: &str) -> u128 {
-    let lo = fnv1a64(s.as_bytes());
-    let hi = shoal_obs::hash::fnv1a64_seeded(lo ^ 0x9e37_79b9_7f4a_7c15, s.as_bytes());
-    ((hi as u128) << 64) | lo as u128
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //! Analysis is the paper's JIT story made resident in the editor loop:
 //!
 //! * each open document owns a [`shoal_core::IncrSession`], so a
-//!   keystroke re-executes only the dirty statement suffix
-//!   (statement-level summary replay, byte-identical to cold analysis);
+//!   keystroke re-executes only the dirty statement suffix and replays
+//!   the statements above it from the previous version's checkpoints
+//!   (byte-identical to cold analysis). The checkpoints an edit
+//!   superseded are freed after its diagnostics are published;
 //! * `didOpen` consults the JIT daemon's two-tier result cache (same
 //!   content-addressed keys, same on-disk format) for a cross-session
 //!   warm start, so the CLI, the daemon, and the editor share one
@@ -228,7 +230,9 @@ impl<W: Write> Server<W> {
     /// Runs the document's incremental session over its current text
     /// (resilient cold analysis when it does not parse — mid-edit
     /// documents still get diagnostics), keeps the report as the
-    /// document's unsaved verdict, and publishes.
+    /// document's unsaved verdict, and publishes. Only then does the
+    /// session free the checkpoints the edit superseded, so the frees
+    /// do not delay the diagnostics.
     fn analyze_document(&mut self, uri: &str) {
         let Some(doc) = self.docs.get_mut(uri) else { return };
         let (report, resilient): (AnalysisReport, bool) = match doc.session.analyze(&doc.text) {
@@ -239,6 +243,9 @@ impl<W: Write> Server<W> {
         let (version, lsp) = (doc.version, lsp_diagnostics(&diags, &doc.text, uri));
         doc.unsaved = Some((report, resilient));
         self.publish(uri, version, lsp);
+        if let Some(doc) = self.docs.get_mut(uri) {
+            doc.session.release();
+        }
     }
 
     /// Writes the document's unsaved verdict to the shared cache under

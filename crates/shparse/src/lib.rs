@@ -42,4 +42,4 @@ pub use ast::{
 pub use parse::{
     parse_script, parse_script_recovering, ParseDiagnostic, ParseError, RecoveredParse,
 };
-pub use print::{canonical_item, item_content_hash};
+pub use print::canonical_item;

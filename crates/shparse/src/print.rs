@@ -29,14 +29,11 @@ type PendingHeredoc = (String, usize);
 
 /// The canonical rendering of one top-level statement: the
 /// pretty-printed `and_or` (plus `&` for background jobs) followed by
-/// any here-document bodies the statement opens. Because it is built
-/// from the AST — never from byte spans — two statements that differ
-/// only in surrounding whitespace, comments, or position in the file
-/// render identically. The boolean is true when the statement opened a
-/// here-document whose body lives *outside* the statement's own span
-/// (the incremental engine must treat such statements position-
-/// sensitively).
-pub fn canonical_item(script: &Script, item: &ListItem) -> (String, bool) {
+/// any here-document bodies the statement opens. It is built from the
+/// AST, never from byte spans: the bodies, which live outside the
+/// statement's own span, are part of it, and whitespace and comments
+/// are not.
+pub fn canonical_item(script: &Script, item: &ListItem) -> String {
     let mut out = String::new();
     let mut pending = Vec::new();
     write_and_or(&mut out, &item.and_or, 0, script, &mut pending);
@@ -44,34 +41,12 @@ pub fn canonical_item(script: &Script, item: &ListItem) -> (String, bool) {
         out.push_str(" &");
     }
     out.push('\n');
-    let uses_heredoc = !pending.is_empty();
     for (delim, body) in pending.drain(..) {
         out.push_str(script.heredoc_body(body));
         out.push_str(&delim);
         out.push('\n');
     }
-    (out, uses_heredoc)
-}
-
-/// FNV-1a over the canonical rendering of one statement: the
-/// content-addressed statement identity used by incremental analysis
-/// summary keys. Stable under whitespace/comment-only edits and under
-/// moving the statement around the file (shparse has no dependencies,
-/// so the hash lives here rather than in shoal-obs).
-pub fn item_content_hash(script: &Script, item: &ListItem) -> u64 {
-    let (text, _) = canonical_item(script, item);
-    fnv1a64(text.as_bytes())
-}
-
-/// FNV-1a 64-bit (the same function the obs crate uses; duplicated here
-/// because shparse keeps an empty dependency list).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    out
 }
 
 fn indent(out: &mut String, level: usize) {

@@ -7,7 +7,9 @@
 //! 2. **Dirty-suffix bound** — after a single-statement edit, the
 //!    number of statements actually re-executed is at most the dirty
 //!    suffix (every statement from the first changed one to the end);
-//!    everything before it replays from the summary cache.
+//!    everything before it replays from the last version's checkpoints,
+//!    and the session holds no more checkpoints than the script has
+//!    statements.
 
 use shoal::core::provenance::reports_json;
 use shoal::core::{analyze_source_with, AnalysisOptions, AnalysisReport, IncrSession};
@@ -88,6 +90,11 @@ fn random_single_statement_edits_stay_within_the_dirty_suffix() {
             "round {round}: edited stmt {} of {N}, executed {executed} > dirty suffix {dirty_suffix}",
             li - 1
         );
+        assert!(
+            session.summary_count() <= N,
+            "round {round}: {} checkpoints held for a {N}-statement script",
+            session.summary_count()
+        );
     }
 }
 
@@ -143,6 +150,26 @@ fn a_statement_replays_only_under_the_prefix_layout_it_was_recorded_with() {
     let executed = check(&mut session, &format!("\n{rm}\necho b\n"));
     assert_eq!(session.stats.last_replayed, 1);
     assert_eq!(executed, 1);
+}
+
+#[test]
+fn an_annotation_edit_reexecutes_every_statement() {
+    // The annotation sits below every statement, so no statement moves:
+    // only the starting state changes, and nothing may replay.
+    let body = "cd /srv\nrm -rf \"$DIR/\"*\necho done\n";
+    let narrow = format!("{body}#@ var DIR : [a-z]+\n");
+    let wide = format!("{body}#@ var DIR : any\n");
+    let mut session = IncrSession::new(AnalysisOptions::default());
+    check(&mut session, &narrow);
+    let executed = check(&mut session, &wide);
+    assert_eq!(session.stats.last_replayed, 0, "an annotation edit must not replay");
+    assert_eq!(executed, 3);
+    let cold = |src: &str| analyze_source_with(src, AnalysisOptions::default()).unwrap();
+    assert_ne!(
+        cold(&narrow).diagnostics,
+        cold(&wide).diagnostics,
+        "the annotation decides the verdict"
+    );
 }
 
 #[test]
