@@ -84,11 +84,10 @@ impl DiagCode {
             }
         }
     }
-}
 
-impl fmt::Display for DiagCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Stable machine-readable name (what `Display` prints).
+    pub fn as_str(self) -> &'static str {
+        match self {
             DiagCode::DangerousDelete => "dangerous-delete",
             DiagCode::AlwaysFails => "always-fails",
             DiagCode::DeadPipe => "dead-pipe",
@@ -99,8 +98,13 @@ impl fmt::Display for DiagCode {
             DiagCode::AnalysisIncomplete => "analysis-incomplete",
             DiagCode::PolicyViolation => "policy-violation",
             DiagCode::ParsePartial => "parse-partial",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for DiagCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -115,14 +119,20 @@ pub enum Severity {
     Error,
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Severity {
+    /// Stable machine-readable name (what `Display` prints).
+    pub fn as_str(self) -> &'static str {
+        match self {
             Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

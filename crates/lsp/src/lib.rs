@@ -26,7 +26,12 @@
 //! * published diagnostics carry provenance: each finding's typed
 //!   constraint trail becomes LSP `relatedInformation`, pointing at the
 //!   `if`/`case`/`test` sites whose assumptions produced the world that
-//!   exhibits the bug.
+//!   exhibits the bug;
+//! * each `publishDiagnostics` frame is written in one pass, straight
+//!   from the report's diagnostics into a reused text buffer: no JSON
+//!   tree stands between the analysis and the editor. A warm open reads
+//!   the cached `diag_json` array through the same writer, so a cached
+//!   open and a fresh one publish the same bytes.
 //!
 //! Positions are byte-offset based (LSP `character` values count bytes,
 //! not UTF-16 code units — exact for the ASCII that shell scripts
@@ -36,10 +41,11 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
-use shoal_core::provenance::diag_json;
-use shoal_core::{analyze_source_resilient, AnalysisOptions, AnalysisReport, IncrSession};
+use shoal_core::{
+    analyze_source_resilient, AnalysisOptions, AnalysisReport, Diagnostic, IncrSession,
+};
 use shoal_daemon::cache::{cache_key, KeyParts, ResultCache};
-use shoal_obs::json::Json;
+use shoal_obs::json::{self, Json};
 
 /// Hot-tier capacity of the shared result cache while serving an
 /// editor (per-document sessions do the real incremental work; the
@@ -60,7 +66,7 @@ struct Document {
 
 /// The server state behind one stdio connection.
 pub struct Server<W: Write> {
-    out: W,
+    wire: Wire<W>,
     docs: HashMap<String, Document>,
     opts: AnalysisOptions,
     cache: Option<ResultCache>,
@@ -75,7 +81,10 @@ impl<W: Write> Server<W> {
     /// result cache rooted at `cache_dir` when given.
     pub fn new(out: W, cache_dir: Option<PathBuf>) -> Server<W> {
         Server {
-            out,
+            wire: Wire {
+                out,
+                frame: String::new(),
+            },
             docs: HashMap::new(),
             opts: AnalysisOptions::default(),
             cache: cache_dir.map(|dir| ResultCache::new(CACHE_HOT_CAPACITY, Some(dir), None)),
@@ -91,16 +100,18 @@ impl<W: Write> Server<W> {
     pub fn serve(&mut self, reader: &mut impl BufRead) -> i32 {
         while self.exit_code.is_none() {
             let Some(msg) = read_message(reader) else { break };
-            self.handle(&msg);
+            self.handle(msg);
         }
         self.exit_code.unwrap_or(1)
     }
 
-    fn handle(&mut self, msg: &Json) {
+    /// Dispatches one message. It is taken by value so that a document's
+    /// text moves out of it instead of being copied.
+    fn handle(&mut self, mut msg: Json) {
         shoal_obs::counter_add("lsp.requests", 1);
-        let method = msg.get("method").and_then(Json::as_str).unwrap_or("");
         let id = msg.get("id").cloned();
-        let params = msg.get("params").cloned().unwrap_or(Json::Null);
+        let mut params = take(&mut msg, "params");
+        let method = msg.get("method").and_then(Json::as_str).unwrap_or("");
         match method {
             "initialize" => {
                 let result = Json::Obj(vec![
@@ -134,10 +145,13 @@ impl<W: Write> Server<W> {
                 self.exit_code = Some(if self.shutdown_requested { 0 } else { 1 });
             }
             "textDocument/didOpen" => {
-                let doc = params.get("textDocument").cloned().unwrap_or(Json::Null);
+                let mut doc = take(&mut params, "textDocument");
                 let uri = doc.get("uri").and_then(Json::as_str).unwrap_or("").to_string();
-                let text = doc.get("text").and_then(Json::as_str).unwrap_or("").to_string();
                 let version = doc.get("version").and_then(Json::as_f64);
+                let text = match take(&mut doc, "text") {
+                    Json::Str(text) => text,
+                    _ => String::new(),
+                };
                 if uri.is_empty() {
                     return;
                 }
@@ -153,28 +167,20 @@ impl<W: Write> Server<W> {
                 self.open_document(&uri);
             }
             "textDocument/didChange" => {
-                let uri = params
-                    .get("textDocument")
-                    .and_then(|t| t.get("uri"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                let version = params
-                    .get("textDocument")
-                    .and_then(|t| t.get("version"))
-                    .and_then(Json::as_f64);
                 // Full sync: the last change carries the whole text.
-                let text = match params.get("contentChanges") {
-                    Some(Json::Arr(changes)) => changes
-                        .last()
-                        .and_then(|c| c.get("text"))
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
+                let text = match take(&mut params, "contentChanges") {
+                    Json::Arr(mut changes) => changes.pop().map(|mut c| take(&mut c, "text")),
                     _ => None,
                 };
-                let (Some(text), Some(doc)) = (text, self.docs.get_mut(&uri)) else { return };
+                let doc = params.get("textDocument");
+                let uri = doc.and_then(|t| t.get("uri")).and_then(Json::as_str).unwrap_or("");
+                let version = doc.and_then(|t| t.get("version")).and_then(Json::as_f64);
+                let (Some(Json::Str(text)), Some(doc)) = (text, self.docs.get_mut(uri)) else {
+                    return;
+                };
                 doc.text = text;
                 doc.version = version;
+                let uri = uri.to_string();
                 self.analyze_document(&uri);
             }
             "textDocument/didClose" => {
@@ -187,8 +193,7 @@ impl<W: Write> Server<W> {
                 self.persist(&uri);
                 if self.docs.remove(&uri).is_some() {
                     // Clear our diagnostics for the closed document.
-                    let version = None;
-                    self.publish(&uri, version, Json::Arr(Vec::new()));
+                    self.wire.publish(&uri, None, "", Diagnostics::Report(&[]));
                 }
             }
             _ => {
@@ -211,16 +216,11 @@ impl<W: Write> Server<W> {
         let key = self.key_for(&doc.text, false);
         if let Some(entry) = self.cache.as_mut().and_then(|c| c.get(&key)) {
             shoal_obs::counter_add("lsp.warm_hits", 1);
-            let diags = entry
-                .body
-                .get("diagnostics")
-                .cloned()
-                .unwrap_or(Json::Arr(Vec::new()));
-            let (version, lsp) = {
-                let doc = &self.docs[uri];
-                (doc.version, lsp_diagnostics(&diags, &doc.text, uri))
+            let diags = match entry.body.get("diagnostics") {
+                Some(Json::Arr(diags)) => diags.as_slice(),
+                _ => &[],
             };
-            self.publish(uri, version, lsp);
+            self.wire.publish(uri, doc.version, &doc.text, Diagnostics::Cached(diags));
             return;
         }
         self.analyze_document(uri);
@@ -239,13 +239,10 @@ impl<W: Write> Server<W> {
             Ok(report) => (report, false),
             Err(_) => (analyze_source_resilient(&doc.text, self.opts.clone()), true),
         };
-        let diags = Json::Arr(report.diagnostics.iter().map(diag_json).collect());
-        let (version, lsp) = (doc.version, lsp_diagnostics(&diags, &doc.text, uri));
+        let diags = Diagnostics::Report(&report.diagnostics);
+        self.wire.publish(uri, doc.version, &doc.text, diags);
         doc.unsaved = Some((report, resilient));
-        self.publish(uri, version, lsp);
-        if let Some(doc) = self.docs.get_mut(uri) {
-            doc.session.release();
-        }
+        doc.session.release();
     }
 
     /// Writes the document's unsaved verdict to the shared cache under
@@ -274,23 +271,13 @@ impl<W: Write> Server<W> {
         })
     }
 
-    fn publish(&mut self, uri: &str, version: Option<f64>, diagnostics: Json) {
-        shoal_obs::counter_add("lsp.publishes", 1);
-        let mut params = vec![("uri".into(), Json::Str(uri.into()))];
-        if let Some(v) = version {
-            params.push(("version".into(), Json::Num(v)));
-        }
-        params.push(("diagnostics".into(), diagnostics));
-        self.notify("textDocument/publishDiagnostics", Json::Obj(params));
-    }
-
     fn respond(&mut self, id: Option<Json>, result: Json) {
         let msg = Json::Obj(vec![
             ("jsonrpc".into(), Json::Str("2.0".into())),
             ("id".into(), id.unwrap_or(Json::Null)),
             ("result".into(), result),
         ]);
-        write_message(&mut self.out, &msg);
+        self.wire.send(&msg);
     }
 
     fn error(&mut self, id: Json, code: i64, message: &str) {
@@ -305,16 +292,20 @@ impl<W: Write> Server<W> {
                 ]),
             ),
         ]);
-        write_message(&mut self.out, &msg);
+        self.wire.send(&msg);
     }
+}
 
-    fn notify(&mut self, method: &str, params: Json) {
-        let msg = Json::Obj(vec![
-            ("jsonrpc".into(), Json::Str("2.0".into())),
-            ("method".into(), Json::Str(method.into())),
-            ("params".into(), params),
-        ]);
-        write_message(&mut self.out, &msg);
+/// Removes `key`'s value from an object, leaving `null` in its place
+/// (`null` when there is no such key).
+fn take(json: &mut Json, key: &str) -> Json {
+    match json {
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null))
+            .unwrap_or(Json::Null),
+        _ => Json::Null,
     }
 }
 
@@ -362,14 +353,222 @@ pub fn read_message(reader: &mut impl BufRead) -> Option<Json> {
 
 /// Writes one framed message.
 pub fn write_message(out: &mut impl Write, msg: &Json) {
-    let body = msg.to_text();
-    let _ = write!(out, "Content-Length: {}\r\n\r\n{}", body.len(), body);
+    write_frame(out, &msg.to_text());
+}
+
+/// Writes `body` behind its `Content-Length` header and flushes.
+fn write_frame(out: &mut impl Write, body: &str) {
+    let _ = write!(out, "Content-Length: {}\r\n\r\n", body.len());
+    let _ = out.write_all(body.as_bytes());
     let _ = out.flush();
+}
+
+/// The server's output stream and the buffer each frame is written
+/// into before it is sent (reused, so a frame costs no allocation once
+/// the buffer has grown to the largest frame so far).
+struct Wire<W> {
+    out: W,
+    frame: String,
+}
+
+impl<W: Write> Wire<W> {
+    fn send(&mut self, msg: &Json) {
+        self.frame.clear();
+        msg.write(&mut self.frame);
+        write_frame(&mut self.out, &self.frame);
+    }
+
+    /// Writes and sends one `publishDiagnostics` notification for the
+    /// document `uri`, whose current text is `text`.
+    fn publish(&mut self, uri: &str, version: Option<f64>, text: &str, diags: Diagnostics<'_>) {
+        shoal_obs::counter_add("lsp.publishes", 1);
+        let mut doc = DocFrame {
+            starts: line_starts(text),
+            uri: String::new(),
+        };
+        json::write_str(uri, &mut doc.uri);
+        let out = &mut self.frame;
+        out.clear();
+        out.push_str(r#"{"jsonrpc":"2.0","method":"textDocument/publishDiagnostics""#);
+        out.push_str(r#","params":{"uri":"#);
+        out.push_str(&doc.uri);
+        if let Some(v) = version {
+            out.push_str(r#","version":"#);
+            json::write_num(v, out);
+        }
+        out.push_str(r#","diagnostics":["#);
+        match diags {
+            Diagnostics::Report(diags) => doc.write_all(out, diags.iter().map(report_view)),
+            Diagnostics::Cached(diags) => doc.write_all(out, diags.iter().map(cached_view)),
+        }
+        out.push_str("]}}");
+        write_frame(&mut self.out, &self.frame);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Diagnostic conversion
 // ---------------------------------------------------------------------------
+
+/// Where a frame's diagnostics come from: a live report, or the
+/// `diag_json` array a result-cache entry stores.
+enum Diagnostics<'a> {
+    Report(&'a [Diagnostic]),
+    Cached(&'a [Json]),
+}
+
+/// A shoal span: byte offsets and 1-based line.
+#[derive(Clone, Copy)]
+struct SpanView {
+    start: usize,
+    end: usize,
+    line: usize,
+}
+
+/// What the writer reads of one diagnostic, borrowed from either source.
+struct DiagView<'a, T> {
+    span: SpanView,
+    severity: &'a str,
+    code: &'a str,
+    message: &'a str,
+    /// The provenance trail (empty without provenance).
+    trail: T,
+}
+
+/// What the writer reads of one provenance trail entry.
+struct TrailView<'a> {
+    kind: &'a str,
+    span: SpanView,
+    what: &'a str,
+}
+
+fn report_view(d: &Diagnostic) -> DiagView<'_, impl Iterator<Item = TrailView<'_>>> {
+    DiagView {
+        span: SpanView {
+            start: d.span.start,
+            end: d.span.end,
+            line: d.span.line as usize,
+        },
+        severity: d.severity.as_str(),
+        code: d.code.as_str(),
+        message: &d.message,
+        trail: d.provenance.iter().flat_map(|p| p.trail.iter()).map(|t| TrailView {
+            kind: t.kind.as_str(),
+            span: SpanView {
+                start: t.span.start,
+                end: t.span.end,
+                line: t.span.line as usize,
+            },
+            what: &t.what,
+        }),
+    }
+}
+
+/// A view of one cached `diag_json` object (a missing field reads as
+/// `note`, empty or 0).
+fn cached_view(d: &Json) -> DiagView<'_, impl Iterator<Item = TrailView<'_>>> {
+    fn str_at<'a>(j: &'a Json, key: &str) -> Option<&'a str> {
+        j.get(key).and_then(Json::as_str)
+    }
+    fn span_at(j: &Json) -> SpanView {
+        let at = |key| j.get("span").and_then(|s| s.get(key)).and_then(Json::as_u64).unwrap_or(0);
+        SpanView {
+            start: at("start") as usize,
+            end: at("end") as usize,
+            line: at("line") as usize,
+        }
+    }
+    let trail = match d.get("provenance").and_then(|p| p.get("trail")) {
+        Some(Json::Arr(trail)) => trail.as_slice(),
+        _ => &[],
+    };
+    DiagView {
+        span: span_at(d),
+        severity: str_at(d, "severity").unwrap_or("note"),
+        code: str_at(d, "code").unwrap_or(""),
+        message: str_at(d, "message").unwrap_or(""),
+        trail: trail.iter().map(|t| TrailView {
+            kind: str_at(t, "kind").unwrap_or("fact"),
+            span: span_at(t),
+            what: str_at(t, "what").unwrap_or(""),
+        }),
+    }
+}
+
+/// The per-publish context: the document's line table and its URI,
+/// already quoted for the frame.
+struct DocFrame {
+    starts: Vec<usize>,
+    uri: String,
+}
+
+impl DocFrame {
+    /// Writes the diagnostics as the elements of the LSP array.
+    fn write_all<'a, T>(&self, out: &mut String, diags: impl Iterator<Item = DiagView<'a, T>>)
+    where
+        T: Iterator<Item = TrailView<'a>>,
+    {
+        for (i, d) in diags.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.write_diagnostic(out, d);
+        }
+    }
+
+    fn write_diagnostic<'a, T>(&self, out: &mut String, d: DiagView<'a, T>)
+    where
+        T: Iterator<Item = TrailView<'a>>,
+    {
+        out.push_str(r#"{"range":"#);
+        self.write_range(out, d.span);
+        out.push_str(match d.severity {
+            "error" => r#","severity":1,"code":"#,
+            "warning" => r#","severity":2,"code":"#,
+            _ => r#","severity":3,"code":"#,
+        });
+        json::write_str(d.code, out);
+        out.push_str(r#","source":"shoal","message":"#);
+        json::write_str(d.message, out);
+        // Provenance trail → relatedInformation: each typed constraint
+        // of the witnessing world's path condition, at the site where
+        // it was assumed. Entries with no site (line 0) are left out.
+        let mut related = false;
+        for t in d.trail.filter(|t| t.span.line > 0) {
+            out.push_str(if related { "," } else { r#","relatedInformation":["# });
+            related = true;
+            out.push_str(r#"{"location":{"uri":"#);
+            out.push_str(&self.uri);
+            out.push_str(r#","range":"#);
+            self.write_range(out, t.span);
+            out.push_str(r#"},"message":""#);
+            json::write_escaped(t.kind, out);
+            out.push_str(": ");
+            json::write_escaped(t.what, out);
+            out.push_str("\"}");
+        }
+        if related {
+            out.push(']');
+        }
+        out.push('}');
+    }
+
+    /// An LSP range. Synthetic spans (`start == end == 0`) map to the
+    /// start of their line, or of the file when the line is 0 too.
+    fn write_range(&self, out: &mut String, span: SpanView) {
+        let (from, to) = if span.start == 0 && span.end == 0 {
+            let l = span.line.saturating_sub(1);
+            ((l, 0), (l, 0))
+        } else {
+            (position(&self.starts, span.start), position(&self.starts, span.end))
+        };
+        out.push_str(r#"{"start":"#);
+        write_position(out, from);
+        out.push_str(r#","end":"#);
+        write_position(out, to);
+        out.push('}');
+    }
+}
 
 /// Byte offsets of each line start; the span → LSP position table.
 fn line_starts(text: &str) -> Vec<usize> {
@@ -391,98 +590,12 @@ fn position(starts: &[usize], offset: usize) -> (usize, usize) {
     (line, offset - starts[line])
 }
 
-fn position_json(line: usize, character: usize) -> Json {
-    Json::Obj(vec![
-        ("line".into(), Json::Num(line as f64)),
-        ("character".into(), Json::Num(character as f64)),
-    ])
-}
-
-/// An LSP range from a shoal span JSON (`{start, end, line}` byte
-/// offsets / 1-based line). Synthetic spans (`start == end == 0`) map
-/// to the start of their line, or of the file when the line is 0 too.
-fn range_json(span: &Json, starts: &[usize]) -> Json {
-    let start = span.get("start").and_then(Json::as_u64).unwrap_or(0) as usize;
-    let end = span.get("end").and_then(Json::as_u64).unwrap_or(0) as usize;
-    let line = span.get("line").and_then(Json::as_u64).unwrap_or(0) as usize;
-    let (from, to) = if start == 0 && end == 0 {
-        let l = line.saturating_sub(1);
-        ((l, 0), (l, 0))
-    } else {
-        (position(starts, start), position(starts, end))
-    };
-    Json::Obj(vec![
-        ("start".into(), position_json(from.0, from.1)),
-        ("end".into(), position_json(to.0, to.1)),
-    ])
-}
-
-/// Converts a shoal diagnostics array (the `diag_json` shape — also the
-/// shape stored in daemon cache entries) into LSP diagnostics. One
-/// converter serves both the live path and the warm-start path, so a
-/// cached open and a fresh open publish byte-identical payloads.
-fn lsp_diagnostics(diags: &Json, text: &str, uri: &str) -> Json {
-    let starts = line_starts(text);
-    let Json::Arr(items) = diags else { return Json::Arr(Vec::new()) };
-    let out = items
-        .iter()
-        .map(|d| {
-            let severity = match d.get("severity").and_then(Json::as_str).unwrap_or("note") {
-                "error" => 1.0,
-                "warning" => 2.0,
-                _ => 3.0,
-            };
-            let span = d.get("span").cloned().unwrap_or(Json::Null);
-            let mut fields = vec![
-                ("range".into(), range_json(&span, &starts)),
-                ("severity".into(), Json::Num(severity)),
-                (
-                    "code".into(),
-                    Json::Str(d.get("code").and_then(Json::as_str).unwrap_or("").into()),
-                ),
-                ("source".into(), Json::Str("shoal".into())),
-                (
-                    "message".into(),
-                    Json::Str(d.get("message").and_then(Json::as_str).unwrap_or("").into()),
-                ),
-            ];
-            // Provenance trail → relatedInformation: each typed
-            // constraint of the witnessing world's path condition, at
-            // the site where it was assumed.
-            if let Some(Json::Arr(trail)) = d.get("provenance").and_then(|p| p.get("trail")) {
-                let related: Vec<Json> = trail
-                    .iter()
-                    .filter(|t| {
-                        t.get("span")
-                            .and_then(|s| s.get("line"))
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0)
-                            > 0
-                    })
-                    .map(|t| {
-                        let tspan = t.get("span").cloned().unwrap_or(Json::Null);
-                        let kind = t.get("kind").and_then(Json::as_str).unwrap_or("fact");
-                        let what = t.get("what").and_then(Json::as_str).unwrap_or("");
-                        Json::Obj(vec![
-                            (
-                                "location".into(),
-                                Json::Obj(vec![
-                                    ("uri".into(), Json::Str(uri.into())),
-                                    ("range".into(), range_json(&tspan, &starts)),
-                                ]),
-                            ),
-                            ("message".into(), Json::Str(format!("{kind}: {what}"))),
-                        ])
-                    })
-                    .collect();
-                if !related.is_empty() {
-                    fields.push(("relatedInformation".into(), Json::Arr(related)));
-                }
-            }
-            Json::Obj(fields)
-        })
-        .collect();
-    Json::Arr(out)
+fn write_position(out: &mut String, (line, character): (usize, usize)) {
+    out.push_str(r#"{"line":"#);
+    json::write_uint(line as u64, out);
+    out.push_str(r#","character":"#);
+    json::write_uint(character as u64, out);
+    out.push('}');
 }
 
 #[cfg(test)]

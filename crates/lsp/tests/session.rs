@@ -1,7 +1,10 @@
 //! End-to-end LSP sessions over in-memory pipes: a full
 //! initialize → didOpen → didChange → shutdown → exit conversation, a
-//! cross-session warm start through the shared daemon cache, and which
-//! texts that cache receives.
+//! cross-session warm start through the shared daemon cache, which
+//! texts that cache receives, and the published frames byte for byte.
+//!
+//! Regenerate the golden frames after an intentional output change with
+//! `UPDATE_GOLDEN=1 cargo test -p shoal-lsp --test session`.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -10,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use shoal_core::AnalysisOptions;
-use shoal_corpus::figures::FIG1;
+use shoal_corpus::figures::{self, FIG1};
 use shoal_daemon::cache::{cache_key, KeyParts};
 use shoal_lsp::{read_message, write_message, Server};
 use shoal_obs::json::Json;
@@ -248,37 +251,6 @@ fn mid_edit_documents_still_get_diagnostics() {
 }
 
 #[test]
-fn warm_start_reuses_the_daemon_cache_across_servers() {
-    let dir = scratch_dir("warm");
-    let uri = "file:///fig1.sh";
-    let session = |label: f64| {
-        frame(&[
-            req(label, "initialize", obj(vec![])),
-            did_open(uri, FIG1),
-            req(label + 1.0, "shutdown", Json::Null),
-            notif("exit", Json::Null),
-        ])
-    };
-
-    let mut cold_out = Vec::new();
-    Server::new(&mut cold_out, Some(dir.clone())).serve(&mut Cursor::new(session(1.0)));
-    let mut warm_out = Vec::new();
-    Server::new(&mut warm_out, Some(dir.clone())).serve(&mut Cursor::new(session(10.0)));
-
-    let cold = publishes(&drain(cold_out), uri)
-        .first()
-        .map(|d| d.to_text())
-        .expect("cold publish");
-    let warm = publishes(&drain(warm_out), uri)
-        .first()
-        .map(|d| d.to_text())
-        .expect("warm publish");
-    assert_eq!(cold, warm, "cached open publishes byte-identical diagnostics");
-    assert!(cold.contains("dangerous-delete"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn unknown_requests_get_method_not_found() {
     let input = frame(&[
         req(1.0, "initialize", obj(vec![])),
@@ -382,4 +354,147 @@ fn shutdown_writes_the_entries_of_edited_open_documents() {
         ])
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A script whose report exercises every corner of the frame writer: a
+/// synthetic-span note (the malformed `#@` annotation on line 1),
+/// messages and trail entries holding `"`, `\`, a tab, a control byte
+/// and non-ASCII text, and trail entries at line 0 (the `${0%/*}`
+/// affix split), which must not become `relatedInformation`.
+const ESCAPES: &str = "#@ var X missing-colon\n\
+STEAMROOT=\"$(cd \"${0%/*}\" && echo $PWD)\"\n\
+rm -fr \"$STEAMROOT\"/*\n\
+rm -r \"/tmp/a\\\"b\\\\c\td\u{1}e\"\n\
+cat \"/tmp/a\\\"b\\\\c\td\u{1}e\"/config\n";
+
+/// Splits captured server output into its raw frames, headers included.
+fn raw_frames(out: &[u8]) -> Vec<&[u8]> {
+    let mut frames = Vec::new();
+    let mut rest = out;
+    while !rest.is_empty() {
+        let header_end = rest
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("a header ends every frame")
+            + 4;
+        let header = std::str::from_utf8(&rest[..header_end]).expect("an ASCII header");
+        let len: usize = header
+            .trim_end()
+            .strip_prefix("Content-Length: ")
+            .and_then(|v| v.parse().ok())
+            .expect("a Content-Length header");
+        frames.push(&rest[..header_end + len]);
+        rest = &rest[header_end + len..];
+    }
+    frames
+}
+
+/// The raw `publishDiagnostics` frames in captured server output.
+fn publish_frames(out: &[u8]) -> Vec<Vec<u8>> {
+    raw_frames(out)
+        .into_iter()
+        .filter(|f| f.windows(18).any(|w| w == b"publishDiagnostics"))
+        .map(<[u8]>::to_vec)
+        .collect()
+}
+
+/// Opens `text`, appends a statement, and closes the document: the
+/// live open, the incremental change and the cleared close.
+fn open_change_close(uri: &str, text: &str) -> Vec<u8> {
+    let edited = format!("{text}echo done\n");
+    let input = frame(&[
+        req(1.0, "initialize", obj(vec![])),
+        did_open(uri, text),
+        did_change(uri, 2.0, &edited),
+        did_close(uri),
+        req(2.0, "shutdown", Json::Null),
+        notif("exit", Json::Null),
+    ]);
+    let mut out = Vec::new();
+    assert_eq!(Server::new(&mut out, None).serve(&mut Cursor::new(input)), 0);
+    publish_frames(&out).concat()
+}
+
+fn check_golden(name: &str, actual: &[u8]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name}: {e} (run with UPDATE_GOLDEN=1)"));
+    assert!(
+        actual == expected,
+        "{name} drifted from its golden; if intentional, regenerate with UPDATE_GOLDEN=1\n\
+         actual:   {}\nexpected: {}",
+        String::from_utf8_lossy(actual),
+        String::from_utf8_lossy(&expected)
+    );
+}
+
+#[test]
+fn published_frames_match_their_goldens() {
+    let escapes = open_change_close("file:///escapes.sh", ESCAPES);
+    let text = String::from_utf8(escapes.clone()).expect("frames are UTF-8");
+    for needle in [
+        "\"range\":{\"start\":{\"line\":0,\"character\":0},\"end\":{\"line\":0,\"character\":0}}",
+        "\\\"",
+        "\\\\",
+        "\\t",
+        "\\u0001",
+        "⟨$0⟩",
+    ] {
+        assert!(text.contains(needle), "the escapes session covers {needle}");
+    }
+    assert!(
+        !text.contains("contains the pattern\"}"),
+        "a line-0 trail entry never becomes relatedInformation"
+    );
+    check_golden("escapes.frames", &escapes);
+    check_golden("fig1.frames", &open_change_close("file:///steam.sh", FIG1));
+}
+
+/// Every example script and paper figure.
+fn all_scripts() -> Vec<(String, String)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut scripts: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("examples/")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sh"))
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("a readable example");
+            (p.file_name().unwrap().to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    scripts.sort();
+    assert!(!scripts.is_empty(), "examples/ holds shell scripts");
+    scripts.extend(figures::all().into_iter().map(|(n, t)| (n.to_string(), t.to_string())));
+    scripts
+}
+
+#[test]
+fn warm_start_reuses_the_daemon_cache_across_servers() {
+    for (name, text) in all_scripts() {
+        // A fresh cache per script: two scripts with the same text must
+        // not turn the first open of the second into a hit.
+        let dir = scratch_dir("warm-all");
+        let uri = format!("file:///{name}");
+        let open_once = || {
+            let mut out = Vec::new();
+            Server::new(&mut out, Some(dir.clone()))
+                .serve(&mut Cursor::new(frame(&[did_open(&uri, &text)])));
+            publish_frames(&out)
+        };
+        let live = open_once();
+        let k = key(&text, false);
+        let path = dir.join(&k[..2]).join(format!("{k}.json"));
+        let inode = std::fs::metadata(&path).expect("the live open is cached").ino();
+        let warm = open_once();
+        assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode, "{name}: the second open hits");
+        assert_eq!(live.len(), 1, "{name}: one publish per open");
+        assert!(warm == live, "{name}: the cached open publishes the live bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

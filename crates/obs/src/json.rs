@@ -47,14 +47,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Num(n) => write_num(*n, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -71,7 +65,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -99,20 +93,69 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes a number as [`Json::write`] does: integral values below 9e15
+/// in magnitude as integers, everything else in Rust's shortest `f64`
+/// form.
+pub fn write_num(n: f64, out: &mut String) {
+    if n.fract() == 0.0 && n.abs() < 9e15 {
+        let n = n as i64;
+        if n < 0 {
+            out.push('-');
+        }
+        write_uint(n.unsigned_abs(), out);
+    } else {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Writes a non-negative integer in decimal.
+pub fn write_uint(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Writes `s` as a quoted JSON string.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
+    write_escaped(s, out);
+    out.push('"');
+}
+
+/// Writes the escaped body of a JSON string, without the quotes: each
+/// run of characters that needs no escape is copied as one slice.
+pub fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+    }
+    out.push_str(&s[run..]);
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -250,4 +293,95 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
         }
     }
     Err("unterminated string".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn text(v: Json) -> String {
+        v.to_text()
+    }
+
+    /// The writer this module had before numbers and strings were
+    /// written in place: one `format!` per number, one push per char.
+    fn reference_num(n: f64) -> String {
+        if n.fract() == 0.0 && n.abs() < 9e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    fn reference_str(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_control_bytes() {
+        assert_eq!(text(Json::Str("a\"b".into())), r#""a\"b""#);
+        assert_eq!(text(Json::Str("a\\b".into())), r#""a\\b""#);
+        assert_eq!(text(Json::Str("a\nb\rc\td".into())), r#""a\nb\rc\td""#);
+        assert_eq!(text(Json::Str("\u{0}\u{1}\u{1f}".into())), r#""\u0000\u0001\u001f""#);
+        assert_eq!(text(Json::Str("⟨$0⟩ é \u{7f}".into())), "\"⟨$0⟩ é \u{7f}\"");
+        assert_eq!(text(Json::Str(String::new())), "\"\"");
+        // Keys take the same path.
+        assert_eq!(text(Json::Obj(vec![("k\"".into(), Json::Null)])), r#"{"k\"":null}"#);
+        let mut all = String::new();
+        for c in (0u32..0x80).chain([0xe9, 0x27e8, 0x1f600]) {
+            all.push(char::from_u32(c).unwrap());
+        }
+        for s in [all.as_str(), "\"\"", "\\", "plain", "x\u{1}"] {
+            assert_eq!(text(Json::Str(s.into())), reference_str(s), "{s:?}");
+            assert_eq!(Json::parse(&text(Json::Str(s.into()))), Ok(Json::Str(s.into())));
+        }
+    }
+
+    #[test]
+    fn numbers_write_as_before() {
+        assert_eq!(text(Json::Num(0.0)), "0");
+        assert_eq!(text(Json::Num(-0.0)), "0");
+        assert_eq!(text(Json::Num(42.0)), "42");
+        assert_eq!(text(Json::Num(-7.0)), "-7");
+        assert_eq!(text(Json::Num(0.25)), "0.25");
+        assert_eq!(text(Json::Num(-1.5)), "-1.5");
+        assert_eq!(text(Json::Num(8_999_999_999_999_999.0)), "8999999999999999");
+        assert_eq!(text(Json::Num(9e15)), "9000000000000000");
+        assert_eq!(text(Json::Num(1e20)), "100000000000000000000");
+        for n in [
+            0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            12345.0,
+            u32::MAX as f64,
+            -8.9e15,
+            8.9e15,
+            9e15,
+            -9e15,
+            1e300,
+            0.1,
+            -2.5e-7,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(text(Json::Num(n)), reference_num(n), "{n}");
+        }
+        let mut out = String::new();
+        write_uint(u64::MAX, &mut out);
+        assert_eq!(out, u64::MAX.to_string());
+    }
 }

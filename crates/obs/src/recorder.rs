@@ -10,6 +10,7 @@
 
 use crate::json::Json;
 use crate::metrics;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -21,7 +22,9 @@ pub enum Value {
     I64(i64),
     F64(f64),
     Bool(bool),
-    Str(String),
+    /// Borrowed when the text is `'static` (phase names), so recording
+    /// it copies nothing.
+    Str(Cow<'static, str>),
 }
 
 impl From<u64> for Value {
@@ -56,12 +59,12 @@ impl From<bool> for Value {
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(Cow::Owned(v))
     }
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(Cow::Owned(v.to_string()))
     }
 }
 
@@ -72,7 +75,7 @@ impl Value {
             Value::I64(v) => Json::Num(*v as f64),
             Value::F64(v) => Json::Num(*v),
             Value::Bool(v) => Json::Bool(*v),
-            Value::Str(v) => Json::Str(v.clone()),
+            Value::Str(v) => Json::Str(v.to_string()),
         }
     }
 }

@@ -65,6 +65,9 @@ thread_local! {
     static TRACE_ACTIVE: Cell<bool> = const { Cell::new(false) };
     static TIMER_DEPTH: Cell<u32> = const { Cell::new(0) };
     static PHASES: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
+    /// Each phase's `phase.NAME.us` histogram key, built at its first
+    /// recorded charge on this thread.
+    static PHASE_KEYS: RefCell<Vec<(&'static str, String)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Is a trace active on this thread? One thread-local read.
@@ -113,10 +116,20 @@ fn trace_add(name: &'static str, us: u64) {
 }
 
 fn record_phase(name: &'static str, us: u64) {
-    crate::metrics::hist_record_name(&format!("phase.{name}.us"), us);
+    PHASE_KEYS.with(|keys| {
+        let mut keys = keys.borrow_mut();
+        let at = match keys.iter().position(|(n, _)| *n == name) {
+            Some(at) => at,
+            None => {
+                keys.push((name, format!("phase.{name}.us")));
+                keys.len() - 1
+            }
+        };
+        crate::metrics::hist_record_name(&keys[at].1, us);
+    });
     crate::recorder::record_event(
         "span",
-        vec![("name", Value::Str(name.to_string())), ("duration_us", Value::U64(us))],
+        vec![("name", Value::Str(name.into())), ("duration_us", Value::U64(us))],
     );
 }
 
