@@ -185,7 +185,7 @@ pub(crate) fn analyze_timed(
     // so finalization can surface it (the incremental engine instead
     // drains per statement and accumulates across replays).
     let approx = shoal_relang::take_approx_hits();
-    finalize(&engine, worlds, approx, [parse_us, setup_us, exec_us], t_start)
+    finalize(&engine, worlds, &approx, [parse_us, setup_us, exec_us], t_start)
 }
 
 /// Runs `parse` and charges its wall time to the `parse` phase;
@@ -265,7 +265,7 @@ pub(crate) fn prologue(
 pub(crate) fn finalize(
     engine: &Engine,
     mut worlds: Vec<World>,
-    approx: Vec<shoal_relang::ApproxReason>,
+    approx: &[shoal_relang::ApproxReason],
     [parse_us, setup_us, exec_us]: [u64; 3],
     t_start: Instant,
 ) -> AnalysisReport {
@@ -396,7 +396,7 @@ pub(crate) fn finalize(
         cap_dropped: world_tree.cap_dropped_leaves() as u64,
         merged: world_tree.merged_leaves() as u64,
     });
-    let cap_hits = stats.take_cap_hits();
+    let cap_hits = stats.merged_cap_hits();
     // A cap hit always marks the report incomplete, even when no world
     // survived to carry the diagnostic (e.g. budget exhaustion after
     // every world was pruned).
@@ -405,7 +405,7 @@ pub(crate) fn finalize(
     // this whole block is skipped — no allocation, no clock reads).
     let coverage = engine.opts.audit.then(|| {
         let mut rec = engine.audit.replace(crate::audit::AuditRecorder::default());
-        for hit in &approx {
+        for hit in approx {
             rec.record_loss(shoal_obs::audit::LossCause::DfaCap, hit.site().to_string(), 1);
         }
         rec.finish(&diagnostics)

@@ -378,12 +378,12 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
         w.last_exit = ExitStatus::Zero;
         return vec![w];
     }
-    let sym = arg.segs.iter().find_map(|s| match s {
+    let sym = arg.segs().iter().find_map(|s| match s {
         crate::value::Seg::Sym { id, .. } => Some(*id),
         _ => None,
     });
     let suffix: String = arg
-        .segs
+        .segs()
         .iter()
         .skip_while(|s| !matches!(s, crate::value::Seg::Sym { .. }))
         .filter_map(|s| match s {

@@ -695,7 +695,7 @@ impl<'s> Engine<'s> {
             .into_iter()
             .map(|mut r| {
                 let mut captured = r.capture.take().unwrap_or_default();
-                strip_trailing_newlines(&mut captured);
+                captured.strip_trailing_newlines();
                 r.cwd = parent_cwd.clone();
                 r.positional = parent_positional.clone();
                 r.capture = parent_capture.clone();
@@ -956,7 +956,7 @@ impl<'s> Engine<'s> {
         let mut out = Vec::new();
         for (mut w, subject) in subjects {
             // Platform-dependence: branching on uname/lsb_release output.
-            let platform = subject.segs.iter().any(|s| match s {
+            let platform = subject.segs().iter().any(|s| match s {
                 Seg::Sym { label, .. } => is_platform_source(label),
                 _ => false,
             });
@@ -1725,21 +1725,6 @@ fn first_contradiction(w: &World, cs: &SpecCases) -> Option<(String, bool)> {
         }
     }
     None
-}
-
-/// Strips trailing literal newlines from a captured value (the `$(…)`
-/// rule).
-fn strip_trailing_newlines(v: &mut SymStr) {
-    while let Some(Seg::Lit(last)) = v.segs.last_mut() {
-        while last.ends_with('\n') {
-            last.pop();
-        }
-        if last.is_empty() {
-            v.segs.pop();
-        } else {
-            break;
-        }
-    }
 }
 
 /// Havocs every variable assigned anywhere in `items` (used after loop

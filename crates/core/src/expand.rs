@@ -59,7 +59,7 @@ impl Field {
     pub fn as_literal(&self) -> Option<String> {
         let mut out = String::new();
         for c in &self.chunks {
-            for seg in &c.value.segs {
+            for seg in c.value.segs() {
                 match seg {
                     Seg::Lit(s) => out.push_str(s),
                     Seg::Sym { .. } => return None,

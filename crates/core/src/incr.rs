@@ -2,32 +2,38 @@
 //!
 //! The cold engine analyzes a script by folding [`Engine::step`] over
 //! the top-level statements. This module makes that fold *resumable*:
-//! after every statement it checkpoints the full engine-visible state
-//! (live worlds, world tree, engine statistics, audit recorder,
-//! accumulated relang approximation events). A session keeps one
-//! previous version only: for each statement of the last analyzed
-//! script, its canonical text ([`shoal_shparse::canonical_item`],
-//! here-document bodies included), its layout (raw source slice, byte
-//! offset and line) and the checkpoint after it.
+//! after every statement it checkpoints the engine-visible state (live
+//! worlds, peak live count, audit recorder, and how far the world tree,
+//! the cap-hit log and the accumulated relang approximation events
+//! had grown). A session keeps one previous version only: for each
+//! statement of the last analyzed script, its canonical text
+//! ([`shoal_shparse::canonical_item`], here-document bodies included),
+//! its layout (raw source slice, byte offset and line) and the
+//! checkpoint after it, plus the last run's world tree and logs.
 //!
 //! **Replay.** On re-analysis the session compares the new script's
 //! statements with the last version's, from the top. The leading
 //! statements whose canonical text and layout are both unchanged
 //! replay; the walk stops at the first statement that differs (the
-//! *dirty suffix*). Only the deepest replayed checkpoint is cloned back
-//! into a fresh engine — O(live worlds) thanks to structural sharing —
-//! and the remaining statements are re-executed and recorded in place
-//! of the old suffix. Editing line 900 of a 1000-line script replays
-//! 899 statements and executes the rest; inserting a blank line above a
-//! statement re-executes it and everything below. An edit to the inline
+//! *dirty suffix*). Only the deepest replayed checkpoint is restored
+//! into a fresh engine: its worlds are cloned (refcount bumps), the
+//! logs are cut back to its lengths, and `WorldTree::rewind` cuts the
+//! tree back and reopens the live worlds' nodes. The remaining
+//! statements are re-executed and recorded in place of the old suffix.
+//! Editing line 900 of a 1000-line script replays 899 statements and
+//! executes the rest; inserting a blank line above a statement
+//! re-executes it and everything below. An edit to the inline
 //! annotations (the only input besides the statements that changes the
 //! starting state; the options are fixed for the session) replays
 //! nothing.
 //!
-//! **Memory.** A session holds at most one checkpoint per statement of
-//! the last analyzed version. The superseded suffix is set aside and
-//! freed by [`IncrSession::release`], which the LSP server calls after
-//! it has published, so the frees stay off the edit's latency.
+//! **Memory.** A session holds one checkpoint per statement of the last
+//! analyzed version, each a vector of live worlds that share their
+//! state with each other and with the run, and one world tree and pair
+//! of logs, not one per statement. The superseded suffix and the cut
+//! world-tree nodes are set aside and freed by
+//! [`IncrSession::release`], which the LSP server calls after it has
+//! published, so the frees stay off the edit's latency.
 //!
 //! **Byte-identity.** Both paths share [`crate::analyze`]'s prologue
 //! and finalization verbatim. A replayed prefix is the same statements
@@ -44,6 +50,7 @@
 //!
 //! [`Engine::step`]: crate::engine::Engine::step
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::analyze::{
@@ -51,7 +58,7 @@ use crate::analyze::{
 };
 use crate::annotations::Annotations;
 use crate::audit::AuditRecorder;
-use crate::provenance::WorldTree;
+use crate::provenance::{WorldNode, WorldTree};
 use crate::stats::CapHit;
 use crate::world::World;
 use shoal_relang::ApproxReason;
@@ -77,21 +84,25 @@ pub struct IncrStats {
 
 /// Everything the engine knows after one statement: restoring this into
 /// a fresh [`Engine`] and executing the remaining statements is
-/// indistinguishable from having executed the whole prefix. World and
-/// audit containers are COW, so the snapshot cost is O(live worlds).
+/// indistinguishable from having executed the whole prefix. The worlds
+/// share their containers and symbolic strings with the run, so taking
+/// one costs a refcount bump per live-world field. After the boundary
+/// the world tree, the cap-hit log and the approximation log only grow,
+/// except that the live worlds' tree nodes fork and close; so the
+/// checkpoint holds their lengths, and the session keeps one copy of
+/// each, from its last run, to cut back ([`WorldTree::rewind`]).
 ///
 /// [`Engine`]: crate::engine::Engine
-#[derive(Debug, Clone)]
 struct Checkpoint {
     worlds: Vec<World>,
-    tree: WorldTree,
     peak_live: usize,
-    cap_hits: Vec<CapHit>,
     audit: AuditRecorder,
-    /// Approximation events accumulated from the start of the script
-    /// through this statement (order preserved — finalization counts
-    /// and attributes them).
-    approx: Vec<ApproxReason>,
+    /// Nodes in the world tree.
+    tree_len: usize,
+    /// Entries in the cap-hit log.
+    cap_hits: usize,
+    /// Approximation events accumulated from the start of the script.
+    approx: usize,
 }
 
 /// One statement of the last analyzed version: what the replay rule
@@ -116,8 +127,14 @@ pub struct IncrSession {
     context: String,
     /// One entry per executed statement of the last version, in order.
     last: Vec<Recorded>,
-    /// The suffix the last analysis superseded, until [`Self::release`].
-    retired: Vec<Recorded>,
+    /// The last version's world tree, cap-hit log and approximation
+    /// events, which every checkpoint in `last` is a prefix of.
+    tree: WorldTree,
+    cap_hits: Vec<CapHit>,
+    approx: Vec<ApproxReason>,
+    /// The suffix and the world-tree nodes the last analysis
+    /// superseded, until [`Self::release`].
+    retired: (Vec<Recorded>, Vec<Arc<WorldNode>>),
     /// Session counters (see [`IncrStats`]).
     pub stats: IncrStats,
 }
@@ -129,7 +146,10 @@ impl IncrSession {
             opts,
             context: String::new(),
             last: Vec::new(),
-            retired: Vec::new(),
+            tree: WorldTree::new(),
+            cap_hits: Vec::new(),
+            approx: Vec::new(),
+            retired: (Vec::new(), Vec::new()),
             stats: IncrStats::default(),
         }
     }
@@ -148,7 +168,7 @@ impl IncrSession {
     /// latency path call it after they have delivered the report; left
     /// uncalled, the next analysis frees them instead.
     pub fn release(&mut self) {
-        self.retired = Vec::new();
+        self.retired = (Vec::new(), Vec::new());
     }
 
     /// Parses and analyzes one version of the document through the
@@ -217,21 +237,33 @@ impl IncrSession {
             0
         };
         self.context = context;
-        self.retired = self.last.split_off(replayed);
+        // Held apart from the session until the run ends, so a run that
+        // unwinds leaves no checkpoint behind its taken tree and logs.
+        let mut last = std::mem::take(&mut self.last);
+        let retired = last.split_off(replayed);
 
+        // Restore the deepest replayed checkpoint, or the initial state:
+        // one live world, the root-only tree, empty logs.
         let (engine, initial) = prologue(script, self.opts.clone(), annotations);
         let mut worlds = vec![initial];
         engine.stats.note_live(worlds.len());
-        let mut approx: Vec<ApproxReason> = Vec::new();
-        if let Some(r) = self.last.last() {
-            let chk = r.chk.clone();
-            engine.tree.replace(chk.tree);
-            engine.stats.peak_live.set(chk.peak_live);
-            *engine.stats.cap_hits.borrow_mut() = chk.cap_hits;
-            engine.audit.replace(chk.audit);
-            worlds = chk.worlds;
-            approx = chk.approx;
-        }
+        let (tree_len, cap_len, approx_len) = match last.last() {
+            Some(Recorded { chk, .. }) => {
+                worlds = chk.worlds.clone();
+                engine.stats.peak_live.set(chk.peak_live);
+                engine.audit.replace(chk.audit.clone());
+                (chk.tree_len, chk.cap_hits, chk.approx)
+            }
+            None => (1, 0, 0),
+        };
+        let mut tree = std::mem::take(&mut self.tree);
+        let cut = tree.rewind(tree_len, worlds.iter().map(|w| w.id));
+        self.retired = (retired, cut);
+        engine.tree.replace(tree);
+        self.cap_hits.truncate(cap_len);
+        engine.stats.cap_hits.replace(std::mem::take(&mut self.cap_hits));
+        let mut approx = std::mem::take(&mut self.approx);
+        approx.truncate(approx_len);
 
         // Execute the dirty suffix, recording a checkpoint per statement.
         let executed = stmts.len() - replayed;
@@ -246,13 +278,13 @@ impl IncrSession {
             }
             let chk = Checkpoint {
                 worlds: worlds.clone(),
-                tree: engine.tree.borrow().clone(),
                 peak_live: engine.stats.peak_live.get(),
-                cap_hits: engine.stats.cap_hits.borrow().clone(),
                 audit: engine.audit.borrow().clone(),
-                approx: approx.clone(),
+                tree_len: engine.tree.borrow().len(),
+                cap_hits: engine.stats.cap_hits.borrow().len(),
+                approx: approx.len(),
             };
-            self.last.push(Recorded { canon, layout, chk });
+            last.push(Recorded { canon, layout, chk });
         }
         let exec_us = t_start.elapsed().as_micros() as u64;
 
@@ -267,9 +299,14 @@ impl IncrSession {
             statements = executed + replayed,
             replayed = replayed,
             executed = executed,
-            summaries = self.last.len()
+            summaries = last.len()
         );
-        finalize(&engine, worlds, approx, [parse_us, setup_us, exec_us], t_start)
+        let report = finalize(&engine, worlds, &approx, [parse_us, setup_us, exec_us], t_start);
+        self.last = last;
+        self.tree = report.world_tree.clone();
+        self.cap_hits = engine.stats.cap_hits.take();
+        self.approx = approx;
+        report
     }
 }
 

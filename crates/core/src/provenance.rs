@@ -192,11 +192,12 @@ impl WorldNode {
 
 /// The tree of explored worlds for one analysis run.
 ///
-/// Nodes live behind `Arc` so a snapshot of the tree (the incremental
-/// engine checkpoints it after every statement) is a pointer-copy of
-/// the spine, not a deep clone of tens of thousands of nodes; later
-/// in-place mutations (`close`, a parent gaining a child) copy just the
-/// touched node via `Arc::make_mut`.
+/// Nodes live behind `Arc` so a copy of the tree (the incremental
+/// engine keeps one from its last run next to the report it returned)
+/// is a pointer-copy of the spine, not a deep clone of tens of
+/// thousands of nodes; later in-place mutations (`close`, a parent
+/// gaining a child, [`WorldTree::rewind`]) copy just the touched node
+/// via `Arc::make_mut`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldTree {
     /// All nodes; index == id. Node 0 is the initial world.
@@ -316,6 +317,32 @@ impl WorldTree {
     /// Closes a world folded into a same-state sibling.
     pub fn mark_merged(&mut self, id: WorldId) {
         self.close(id, WorldOutcome::Merged);
+    }
+
+    /// Rewinds the tree to a statement boundary it passed with `len`
+    /// nodes and the worlds `live` alive, and returns the nodes it cut
+    /// (callers on a latency path free them later). Nodes are only
+    /// appended, and a node below `len` changes after the boundary only
+    /// when a world live there forks (its node gains children, whose
+    /// ids are at least `len`) or closes (its node's outcome moves off
+    /// [`WorldOutcome::Open`]). So dropping the appended nodes and
+    /// reopening the live worlds' nodes restores the tree exactly.
+    pub(crate) fn rewind(
+        &mut self,
+        len: usize,
+        live: impl IntoIterator<Item = WorldId>,
+    ) -> Vec<Arc<WorldNode>> {
+        let cut = self.nodes.split_off(len);
+        for id in live {
+            let node = &self.nodes[id as usize];
+            let keep = node.children.partition_point(|&c| (c as usize) < len);
+            if keep < node.children.len() || node.outcome != WorldOutcome::Open {
+                let node = Arc::make_mut(&mut self.nodes[id as usize]);
+                node.children.truncate(keep);
+                node.outcome = WorldOutcome::Open;
+            }
+        }
+        cut
     }
 
     /// Number of nodes (including synthetic root/end nodes).
@@ -815,6 +842,51 @@ mod tests {
         t.mark_terminal(a);
         assert_eq!(t.terminal_leaves(), 3);
         assert_eq!(t.forks(), 3);
+    }
+
+    #[test]
+    fn rewind_restores_the_tree_at_a_statement_boundary() {
+        // Up to the boundary: a live world with a pruned candidate, a
+        // live world that forked off a cap-dropped sibling, and a live
+        // open leaf.
+        let mut t = WorldTree::new();
+        let a = t.fork_child(0, "if", 1, "then");
+        let b = t.fork_child(0, "if", 1, "else");
+        t.mark_pruned(a, "case", 1, "infeasible arm");
+        let c = t.fork_child(b, "cd", 1, "cd fails");
+        let d = t.fork_child(b, "cd", 1, "cd succeeds");
+        t.mark_cap_dropped(c);
+        let e = t.fork_child(b, "test", 1, "-e holds");
+        let live = [a, d, e];
+        let boundary = t.clone();
+
+        // After it, every change the engine makes: forks, prunes, cap
+        // drops, merges and terminal closes, in place and as `end`
+        // leaves.
+        let run_on = |t: &mut WorldTree| {
+            let f = t.fork_child(a, "test", 2, "-e holds");
+            let g = t.fork_child(a, "test", 2, "-e fails");
+            t.mark_pruned(d, "case", 2, "infeasible arm");
+            t.mark_merged(g);
+            t.mark_cap_dropped(f);
+            t.mark_terminal(d);
+            t.mark_terminal(e);
+            t.mark_terminal(a);
+        };
+        run_on(&mut t);
+        assert_ne!(t, boundary);
+        let cut = t.rewind(boundary.len(), live);
+        assert_eq!(t, boundary);
+        assert_eq!(cut.len(), 5, "f, g, d's pruned arm and the end leaves of d and a");
+        // Nodes no live world owns are not copied.
+        assert!(Arc::ptr_eq(&t.nodes[c as usize], &boundary.nodes[c as usize]));
+
+        // The rewound tree goes on as the boundary's would.
+        let mut again = boundary.clone();
+        run_on(&mut t);
+        run_on(&mut again);
+        assert_eq!(t, again);
+        assert_eq!(t.to_json().to_text(), again.to_json().to_text());
     }
 
     #[test]

@@ -74,7 +74,10 @@ pub struct CapHit {
 pub struct EngineStats {
     /// Peak size of any live world set processed at one point.
     pub peak_live: Cell<usize>,
-    /// Where exploration hit bounds, deduplicated by (reason, line).
+    /// Every bound hit, in order: an append-only log, so a prefix of
+    /// it is the log at an earlier point of the run (the incremental
+    /// engine checkpoints its length). [`EngineStats::merged_cap_hits`]
+    /// deduplicates it by (reason, line).
     pub cap_hits: RefCell<Vec<CapHit>>,
     /// Multi-stage pipelines stream-checked: once per distinct pipeline
     /// of the planned script, however many worlds reach it.
@@ -97,22 +100,14 @@ impl EngineStats {
         shoal_obs::counter_add("engine.pipeline_checks", 1);
     }
 
-    /// Records a bound hit (merging repeats at the same site) and emits
-    /// a `cap_hit` trace event.
+    /// Logs a bound hit and emits a `cap_hit` trace event.
     pub fn note_cap(&self, reason: CapReason, line: u32, dropped: usize) {
-        let mut hits = self.cap_hits.borrow_mut();
-        match hits.iter_mut().find(|h| h.reason == reason && h.line == line) {
-            Some(h) => {
-                h.dropped += dropped;
-                h.hits += 1;
-            }
-            None => hits.push(CapHit {
-                reason,
-                line,
-                dropped,
-                hits: 1,
-            }),
-        }
+        self.cap_hits.borrow_mut().push(CapHit {
+            reason,
+            line,
+            dropped,
+            hits: 1,
+        });
         shoal_obs::counter_add("engine.cap_hits", 1);
         shoal_obs::event!(
             "cap_hit",
@@ -122,9 +117,23 @@ impl EngineStats {
         );
     }
 
-    /// Drains the cap-hit records (for the final report).
-    pub fn take_cap_hits(&self) -> Vec<CapHit> {
-        std::mem::take(&mut *self.cap_hits.borrow_mut())
+    /// The cap-hit records for the final report: the log with repeats
+    /// at the same site merged, in order of each site's first hit.
+    pub fn merged_cap_hits(&self) -> Vec<CapHit> {
+        let mut merged: Vec<CapHit> = Vec::new();
+        for hit in self.cap_hits.borrow().iter() {
+            match merged
+                .iter_mut()
+                .find(|h| h.reason == hit.reason && h.line == hit.line)
+            {
+                Some(h) => {
+                    h.dropped += hit.dropped;
+                    h.hits += hit.hits;
+                }
+                None => merged.push(hit.clone()),
+            }
+        }
+        merged
     }
 }
 
@@ -168,11 +177,12 @@ mod tests {
         s.note_cap(CapReason::MaxWorlds, 3, 10);
         s.note_cap(CapReason::MaxWorlds, 3, 5);
         s.note_cap(CapReason::LoopBound, 3, 0);
-        let hits = s.take_cap_hits();
+        assert_eq!(s.cap_hits.borrow().len(), 3, "the log keeps every hit");
+        let hits = s.merged_cap_hits();
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].dropped, 15);
         assert_eq!(hits[0].hits, 2);
-        assert!(s.take_cap_hits().is_empty());
+        assert_eq!((hits[1].reason, hits[1].hits), (CapReason::LoopBound, 1));
     }
 
     #[test]

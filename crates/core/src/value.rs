@@ -14,6 +14,7 @@
 
 use shoal_relang::Regex;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a symbolic string (fresh per unknown value).
 pub type SymId = u32;
@@ -36,12 +37,27 @@ pub enum Seg {
     },
 }
 
-/// A symbolic string: concatenation of segments. Empty vector = the
-/// empty string.
+/// A symbolic string: concatenation of segments. No segments = the
+/// empty string, and no two literal segments are adjacent (every
+/// operation that could join two merges them).
+///
+/// The segments are immutable and shared: cloning a value (and so a
+/// world holding it) is a refcount bump, and the operations that
+/// derive a new value allocate only when the result differs from an
+/// input, so a value that an operation leaves alone stays shared with
+/// every fork sibling holding it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SymStr {
-    /// Segments in order.
-    pub segs: Vec<Seg>,
+    /// Segments in order (the empty slice allocates nothing).
+    segs: Arc<[Seg]>,
+}
+
+/// Appends `seg`, merging it into a literal it follows.
+fn push_merged(segs: &mut Vec<Seg>, seg: Seg) {
+    match (segs.last_mut(), seg) {
+        (Some(Seg::Lit(a)), Seg::Lit(b)) => a.push_str(&b),
+        (_, seg) => segs.push(seg),
+    }
 }
 
 impl SymStr {
@@ -56,7 +72,7 @@ impl SymStr {
             SymStr::empty()
         } else {
             SymStr {
-                segs: vec![Seg::Lit(s.to_string())],
+                segs: Arc::new([Seg::Lit(s.to_string())]),
             }
         }
     }
@@ -64,12 +80,17 @@ impl SymStr {
     /// A fresh symbolic value.
     pub fn sym(id: SymId, constraint: Regex, label: &str) -> SymStr {
         SymStr {
-            segs: vec![Seg::Sym {
+            segs: Arc::new([Seg::Sym {
                 id,
                 constraint,
                 label: label.to_string(),
-            }],
+            }]),
         }
+    }
+
+    /// The segments in order.
+    pub fn segs(&self) -> &[Seg] {
+        &self.segs
     }
 
     /// Feeds a cheap digest of this value to `h`: literal text, symbol
@@ -79,7 +100,7 @@ impl SymStr {
     pub fn hash_shallow(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
         self.segs.len().hash(h);
-        for seg in &self.segs {
+        for seg in self.segs.iter() {
             match seg {
                 Seg::Lit(text) => text.hash(h),
                 Seg::Sym {
@@ -101,22 +122,27 @@ impl SymStr {
         }
     }
 
-    /// Concatenates two values, merging adjacent literals.
+    /// Concatenates two values, merging the literals that meet at the
+    /// seam. An empty side returns the other side's segments, shared.
     pub fn concat(&self, other: &SymStr) -> SymStr {
-        let mut segs = self.segs.clone();
-        for seg in &other.segs {
-            match (segs.last_mut(), seg) {
-                (Some(Seg::Lit(a)), Seg::Lit(b)) => a.push_str(b),
-                _ => segs.push(seg.clone()),
-            }
-        }
+        let segs = match (self.segs.split_last(), other.segs.split_first()) {
+            (_, None) => return self.clone(),
+            (None, _) => return other.clone(),
+            (Some((Seg::Lit(a), head)), Some((Seg::Lit(b), tail))) => head
+                .iter()
+                .cloned()
+                .chain(std::iter::once(Seg::Lit(format!("{a}{b}"))))
+                .chain(tail.iter().cloned())
+                .collect(),
+            _ => self.segs.iter().chain(other.segs.iter()).cloned().collect(),
+        };
         SymStr { segs }
     }
 
     /// If fully literal, the concrete string.
     pub fn as_literal(&self) -> Option<String> {
         let mut out = String::new();
-        for seg in &self.segs {
+        for seg in self.segs.iter() {
             match seg {
                 Seg::Lit(s) => out.push_str(s),
                 Seg::Sym { .. } => return None,
@@ -173,7 +199,7 @@ impl SymStr {
 
     /// The single symbol id, when the whole value is one bare symbol.
     pub fn as_single_sym(&self) -> Option<(SymId, &Regex)> {
-        match self.segs.as_slice() {
+        match &*self.segs {
             [Seg::Sym { id, constraint, .. }] => Some((*id, constraint)),
             _ => None,
         }
@@ -182,41 +208,80 @@ impl SymStr {
     /// Refines every occurrence of symbol `id` with an additional
     /// constraint (intersection). Returns false if the refinement makes
     /// some occurrence unsatisfiable (the whole world is then infeasible).
+    /// A value that does not mention `id` keeps its segments.
     pub fn refine_sym(&mut self, id: SymId, with: &Regex) -> bool {
+        if !self.mentions(id) {
+            return true;
+        }
         let mut ok = true;
-        for seg in &mut self.segs {
-            if let Seg::Sym {
-                id: sid,
-                constraint,
-                ..
-            } = seg
-            {
-                if *sid == id {
+        self.segs = self
+            .segs
+            .iter()
+            .map(|seg| match seg {
+                Seg::Sym {
+                    id: sid,
+                    constraint,
+                    label,
+                } if *sid == id => {
                     let refined = constraint.intersect(with);
                     if refined.is_empty() {
                         ok = false;
                     }
-                    *constraint = refined;
+                    Seg::Sym {
+                        id: *sid,
+                        constraint: refined,
+                        label: label.clone(),
+                    }
                 }
-            }
-        }
+                seg => seg.clone(),
+            })
+            .collect();
         ok
     }
 
     /// If the refined constraint pins the symbol to exactly one string,
     /// collapse it to a literal (concrete pruning, §3: "pruning via
-    /// concrete state whenever possible").
+    /// concrete state whenever possible"), then merge adjacent
+    /// literals. A value with nothing to collapse keeps its segments.
     pub fn concretize(&mut self) {
-        for seg in &mut self.segs {
-            if let Seg::Sym { constraint, .. } = seg {
-                if let Some(exact) = constraint.exact_literal() {
-                    *seg = Seg::Lit(String::from_utf8_lossy(&exact).into_owned());
-                }
+        let mut collapsed: Option<Vec<Seg>> = None;
+        for (i, seg) in self.segs.iter().enumerate() {
+            let exact = match seg {
+                Seg::Sym { constraint, .. } => constraint.exact_literal(),
+                Seg::Lit(_) => None,
+            };
+            match (exact, &mut collapsed) {
+                (None, None) => {}
+                (None, Some(out)) => push_merged(out, seg.clone()),
+                (Some(text), out) => push_merged(
+                    out.get_or_insert_with(|| self.segs[..i].to_vec()),
+                    Seg::Lit(String::from_utf8_lossy(&text).into_owned()),
+                ),
             }
         }
-        // Re-merge adjacent literals.
-        let merged = SymStr::default().concat(self);
-        self.segs = merged.segs;
+        if let Some(segs) = collapsed {
+            self.segs = segs.into();
+        }
+    }
+
+    /// Strips trailing literal newlines (the `$(…)` rule), dropping the
+    /// literal segments that become empty.
+    pub fn strip_trailing_newlines(&mut self) {
+        if !matches!(self.segs.last(), Some(Seg::Lit(t)) if t.is_empty() || t.ends_with('\n')) {
+            return;
+        }
+        let mut segs = self.segs.to_vec();
+        while let Some(Seg::Lit(last)) = segs.last_mut() {
+            while last.ends_with('\n') {
+                last.pop();
+            }
+            if last.is_empty() {
+                segs.pop();
+            } else {
+                break;
+            }
+        }
+        self.segs = segs.into();
     }
 
     /// The value after [`SymStr::concretize`]. Where a symbol is made
@@ -236,7 +301,7 @@ impl SymStr {
             return format!("{l:?}");
         }
         let mut out = String::new();
-        for seg in &self.segs {
+        for seg in self.segs.iter() {
             match seg {
                 Seg::Lit(s) => out.push_str(s),
                 Seg::Sym { label, .. } => {
@@ -273,7 +338,7 @@ mod tests {
     #[test]
     fn concat_merges_literals() {
         let v = SymStr::lit("a").concat(&SymStr::lit("b"));
-        assert_eq!(v.segs.len(), 1);
+        assert_eq!(v.segs().len(), 1);
         assert_eq!(v.as_literal().as_deref(), Some("ab"));
     }
 

@@ -48,9 +48,10 @@ impl ExitStatus {
 ///
 /// Every collection-valued field is structurally shared (`Arc`-backed
 /// COW containers from `shoal-obs`, plus the persistent map inside
-/// [`SymFs`]), so **cloning a world — the engine's fork primitive — is
-/// O(1)**: a dozen refcount bumps instead of a deep copy of state that
-/// grows with script length. Mutation stays safe because every write
+/// [`SymFs`]), and so are the segments of `$0`, the cwd and the
+/// capture buffer ([`SymStr`]), so **cloning a world — the engine's
+/// fork primitive — is O(1) and allocates nothing**: a dozen refcount
+/// bumps instead of a deep copy of state that grows with script length. Mutation stays safe because every write
 /// path goes through copy-on-write (`Arc::make_mut`) or persistent
 /// path-copying: a forked child never observes, and never leaks writes
 /// into, its parent.
@@ -327,7 +328,7 @@ impl World {
                 },
             };
         }
-        match value.segs.as_slice() {
+        match value.segs() {
             [Seg::Sym { id, .. }] => {
                 let base = self.base_for_sym(*id);
                 Some(FsKey::symbolic(base))

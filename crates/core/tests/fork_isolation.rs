@@ -4,17 +4,20 @@
 //! *logical* deep copy — no mutation of the child may ever be observable
 //! in the parent, no matter how the two interleave.
 
+use shoal_core::value::{Seg, SymStr};
 use shoal_core::{Diagnostic, DiagCode, Severity, World};
 use shoal_obs::prop::{run_cases, Gen};
+use shoal_relang::Regex;
 use shoal_shparse::Span;
 use shoal_symfs::{FsKey, NodeState};
 
 /// One random world mutation through the public API, touching every
 /// Arc-shared field: vars, positional, trail, diags, FS entries and
-/// assumptions, fragile assumptions, functions, symbol bases.
+/// assumptions, fragile assumptions, functions, symbol bases, and the
+/// shared segments of `$0`, the cwd and the capture buffer.
 fn mutate(g: &mut Gen, w: &mut World, tag: &str) {
     let key = FsKey::absolute(&format!("/tmp/{}/{}", tag, g.usize(0..4))).unwrap();
-    match g.usize(0..8) {
+    match g.usize(0..13) {
         0 => {
             let name = format!("V{}", g.usize(0..5));
             let val = w.fresh_sym(shoal_relang::Regex::anything(), &format!("{tag}-var"));
@@ -39,8 +42,32 @@ fn mutate(g: &mut Gen, w: &mut World, tag: &str) {
             let id = w.fresh_sym_id();
             let _ = w.base_for_sym(id);
         }
-        _ => {
+        7 => {
             let _ = w.param(&format!("{}", g.usize(1..6)));
+        }
+        8 => w.cwd = w.cwd.concat(&SymStr::lit(&format!("/{tag}"))),
+        // Refine the symbol heading `$0` or the cwd (collapsing it
+        // when the constraint pins one string).
+        9 | 10 => {
+            let value = if g.bool() { &w.script_name } else { &w.cwd };
+            let id = match value.segs().first() {
+                Some(Seg::Sym { id, .. }) => *id,
+                _ => return,
+            };
+            let with = *g.pick(&["/srv", "/srv|/opt", "[a-z/]+"]);
+            let _ = w.refine_sym(id, &Regex::parse_must(with));
+        }
+        11 => {
+            let text = *g.pick(&["out\n", "\n\n", "x"]);
+            match &mut w.capture {
+                Some(buf) => *buf = buf.concat(&SymStr::lit(text)),
+                None => w.capture = Some(w.script_name.concat(&SymStr::lit(text))),
+            }
+        }
+        _ => {
+            if let Some(buf) = &mut w.capture {
+                buf.strip_trailing_newlines();
+            }
         }
     }
 }

@@ -44,7 +44,8 @@ pub struct CowVec<T> {
 }
 
 impl<T> CowVec<T> {
-    /// An empty vector (allocates nothing until first push).
+    /// An empty vector. It allocates the shared header (one small
+    /// allocation) and no element storage until the first push.
     pub fn new() -> Self {
         CowVec {
             inner: Arc::new(Vec::new()),
@@ -135,7 +136,8 @@ pub struct CowMap<K, V> {
 }
 
 impl<K: Ord, V> CowMap<K, V> {
-    /// An empty map.
+    /// An empty map. Like [`CowVec::new`], it allocates the shared
+    /// header and no entries until the first insert.
     pub fn new() -> Self {
         CowMap {
             inner: Arc::new(BTreeMap::new()),

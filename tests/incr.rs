@@ -202,3 +202,48 @@ fn sessions_survive_parse_errors_between_edits() {
     let executed = check(&mut session, figures::FIG1);
     assert_eq!(executed, 0);
 }
+
+#[test]
+fn editing_each_statement_in_turn_restores_the_checkpoint_above_it() {
+    // A checkpoint keeps only the lengths of the world tree and of the
+    // cap-hit and approximation logs; restoring one cuts the session's
+    // copies back. Edit each statement of forking, cap-hitting scripts
+    // in turn, so every checkpoint is restored, and compare the world
+    // tree too, which the report format leaves out. Under a cap of 4
+    // worlds the last script hits the cap on line 1 from two
+    // statements, so one cap-hit record spans two checkpoints.
+    let capped = "test -e /a && echo a; test -e /b && echo b; test -e /c && echo c; \
+                  test -e /d && echo d\ntest -e /e && echo e\nrm -rf \"$d/\"*\n";
+    let concatenation = scale::concatenation(4);
+    let scripts = [
+        ("fig1", figures::FIG1),
+        ("concatenation", concatenation.as_str()),
+        ("same-line caps", capped),
+    ];
+    let full = |report: &AnalysisReport| {
+        format!("{}\n{}", rendered(report), report.world_tree.to_json().to_text())
+    };
+    let mut site_capped_twice = false;
+    let cap_of_4 = AnalysisOptions { max_worlds: 4, ..AnalysisOptions::default() };
+    for opts in [AnalysisOptions::default(), cap_of_4] {
+        for (name, src) in scripts {
+            let mut session = IncrSession::new(opts.clone());
+            let mut check = |text: &str| {
+                let inc = session.analyze(text).expect("incremental parse");
+                let cold = analyze_source_with(text, opts.clone()).expect("cold parse");
+                assert_eq!(full(&inc), full(&cold), "{name}: incremental output diverged");
+                site_capped_twice |= cold.cap_hits.iter().any(|h| h.hits > 1);
+                session.stats.last_replayed
+            };
+            check(src);
+            let script = shoal::shparse::parse_script(src).expect("script parses");
+            for (k, item) in script.items.iter().enumerate().skip(1) {
+                let span = item.and_or.span();
+                let edited = format!("{}echo edited_{k}{}", &src[..span.start], &src[span.end..]);
+                assert_eq!(check(&edited), k, "{name}: statement {k} edited");
+                assert_eq!(check(src), k, "{name}: statement {k} restored");
+            }
+        }
+    }
+    assert!(site_capped_twice, "no site hit the world cap twice");
+}
