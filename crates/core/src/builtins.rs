@@ -18,6 +18,7 @@
 use crate::diag::{DiagCode, Diagnostic, Severity};
 use crate::engine::Engine;
 use crate::expand::Field;
+use crate::langs;
 use crate::provenance::TrailKind;
 use crate::value::SymStr;
 use crate::world::{ExitStatus, World};
@@ -217,7 +218,7 @@ fn exec_cd(eng: &Engine, world: World, fields: &[Field], span: Span) -> Vec<Worl
             let home = match w.get_var("HOME").cloned() {
                 Some(h) => h,
                 None => {
-                    let v = w.fresh_sym(Regex::parse_must(r"/([^/\n]+(/[^/\n]+)*)?"), "$HOME");
+                    let v = w.fresh_sym(langs::ABSOLUTE_PATH.clone(), "$HOME");
                     w.set_var("HOME", v.clone());
                     v
                 }
@@ -352,10 +353,7 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
             shoal_symfs::join(&cwd, &text)
         } else {
             // Unknown cwd: symbolic absolute output.
-            let v = w.fresh_sym(
-                Regex::parse_must(r"/([^/\n]+(/[^/\n]+)*)?"),
-                &format!("realpath {}", text),
-            );
+            let v = w.fresh_sym(langs::ABSOLUTE_PATH.clone(), &format!("realpath {}", text));
             w.emit_stdout(v.concat(&SymStr::lit("\n")));
             w.last_exit = ExitStatus::Zero;
             return vec![w];
@@ -371,7 +369,7 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
     if !eng.opts.enable_pruning {
         let mut w = world;
         let v = w.fresh_sym(
-            Regex::parse_must(r"/([^/\n]+(/[^/\n]+)*)?"),
+            langs::ABSOLUTE_PATH.clone(),
             &format!("realpath {}", arg.describe()),
         );
         w.emit_stdout(v.concat(&SymStr::lit("\n")));
@@ -418,7 +416,7 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
         let text = format!("{} is neither \"\" nor \"/\"", arg.describe());
         if w.refine_sym(id, &neither) {
             let v = w.fresh_sym(
-                Regex::parse_must(r"/[^/\n]+(/[^/\n]+)*"),
+                langs::NON_ROOT_PATH.clone(),
                 &format!("realpath {}", arg.describe()),
             );
             eng.branch_child(parent, &mut w, "realpath", span, TrailKind::Constraint, text);
@@ -432,7 +430,7 @@ fn exec_realpath(eng: &Engine, world: World, fields: &[Field], span: Span) -> Ve
     if out.is_empty() {
         let mut w = world;
         let v = w.fresh_sym(
-            Regex::parse_must(r"/([^/\n]+(/[^/\n]+)*)?"),
+            langs::ABSOLUTE_PATH.clone(),
             &format!("realpath {}", arg.describe()),
         );
         w.emit_stdout(v.concat(&SymStr::lit("\n")));

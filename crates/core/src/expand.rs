@@ -15,6 +15,7 @@
 
 use crate::engine::Engine;
 use crate::glob::{remove_affix, word_pattern_to_regex, Affix};
+use crate::langs;
 use crate::provenance::TrailKind;
 use crate::value::{Seg, SymStr};
 use crate::world::World;
@@ -272,7 +273,7 @@ fn expand_part(eng: &Engine, world: World, part: &WordPart, quoted: bool) -> Bra
             let home = match w.get_var("HOME").cloned() {
                 Some(h) if user.is_none() => h,
                 _ => {
-                    let v = w.fresh_sym(Regex::parse_must(r"/([^/\n]+(/[^/\n]+)*)?"), &label);
+                    let v = w.fresh_sym(langs::ABSOLUTE_PATH.clone(), &label);
                     if user.is_none() {
                         w.set_var("HOME", v.clone());
                     }
@@ -336,7 +337,7 @@ fn expand_part(eng: &Engine, world: World, part: &WordPart, quoted: bool) -> Bra
             .collect(),
         WordPart::Arith(_) => {
             let mut w = world;
-            let v = w.fresh_sym(Regex::parse_must("-?[0-9]+"), "$((…))");
+            let v = w.fresh_sym(langs::INTEGER.clone(), "$((…))");
             vec![(
                 w,
                 vec![Chunk {
@@ -365,7 +366,7 @@ pub fn expand_param(
         Some(ParamOp::Length) => {
             let v = match current.and_then(|v| v.as_literal()) {
                 Some(text) => SymStr::lit(&text.len().to_string()),
-                None => world.fresh_sym(Regex::parse_must("[0-9]+"), &format!("${{#{}}}", pe.name)),
+                None => world.fresh_sym(langs::DECIMAL.clone(), &format!("${{#{}}}", pe.name)),
             };
             vec![(world, v)]
         }

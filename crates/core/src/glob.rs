@@ -9,10 +9,10 @@
 //! * **prefix/suffix removal** in `${x%pat}`, `${x%%pat}`, `${x#pat}`,
 //!   `${x##pat}` — precise on literals (scan for the smallest/largest
 //!   matching affix) and constraint-preserving on symbols (language
-//!   quotients, computed by `shoal-relang`).
+//!   quotients, computed and memoized by `shoal_relang::memo`).
 
 use crate::value::SymStr;
-use shoal_relang::{ByteClass, Dfa, Regex};
+use shoal_relang::{memo, ByteClass, Regex};
 use shoal_shparse::{Word, WordPart};
 
 /// Converts a glob pattern (as text) to the regular language it matches.
@@ -99,14 +99,9 @@ pub fn word_pattern_to_regex(word: &Word) -> Regex {
     Regex::concat(parts)
 }
 
-/// Which affix a removal operator targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Affix {
-    /// `${x#pat}` / `${x##pat}`.
-    Prefix,
-    /// `${x%pat}` / `${x%%pat}`.
-    Suffix,
-}
+/// Which affix a removal operator targets: `Prefix` for `${x#pat}` /
+/// `${x##pat}`, `Suffix` for `${x%pat}` / `${x%%pat}`.
+pub use shoal_relang::memo::Affix;
 
 /// One possible outcome of a removal operator on a symbolic value.
 #[derive(Debug, Clone)]
@@ -140,42 +135,24 @@ pub fn remove_affix(
             condition: String::new(),
         }];
     }
-    if let Some((_, constraint)) = value.as_single_sym() {
+    if let Some((id, constraint)) = value.as_single_sym() {
         let label = value.describe();
-        // Strings where some affix matches.
-        let matched_originals = match affix {
-            Affix::Suffix => constraint.intersect(&Regex::anything().then(pattern)),
-            Affix::Prefix => constraint.intersect(&pattern.then(&Regex::anything())),
-        };
-        let unmatched = match affix {
-            Affix::Suffix => constraint.difference(&Regex::anything().then(pattern)),
-            Affix::Prefix => constraint.difference(&pattern.then(&Regex::anything())),
-        };
+        let split = memo::affix_split(constraint, pattern, affix);
         let mut cases = Vec::new();
-        if !matched_originals.is_empty() {
-            // Quotients (the expensive step) are only needed when the
-            // "pattern matched" world is live.
-            let constraint_dfa = Dfa::from_regex(constraint);
-            let pat_dfa = Dfa::from_regex(pattern);
-            let quotient = match affix {
-                Affix::Suffix => constraint_dfa.right_quotient(&pat_dfa).to_regex(),
-                Affix::Prefix => constraint_dfa.left_quotient(&pat_dfa).to_regex(),
-            };
+        if let Some(matched) = split.matched {
             cases.push(RemovalCase {
-                result: SymStr::sym(fresh(), quotient, &format!("{label} minus affix"))
+                result: SymStr::sym(fresh(), matched.quotient, &format!("{label} minus affix"))
                     .concretized(),
-                source_refinement: Some(matched_originals),
+                source_refinement: Some(matched.originals),
                 condition: format!("{label} contains the pattern"),
             });
         }
-        if !unmatched.is_empty() {
+        if let Some(unmatched) = split.unmatched {
             // No affix matches: the value is unchanged, but we learn the
             // refinement.
             let mut unchanged = value.clone();
-            if let Some((id, _)) = value.as_single_sym() {
-                unchanged.refine_sym(id, &unmatched);
-                unchanged.concretize();
-            }
+            unchanged.refine_sym(id, &unmatched);
+            unchanged.concretize();
             cases.push(RemovalCase {
                 result: unchanged,
                 source_refinement: Some(unmatched),
@@ -193,18 +170,8 @@ pub fn remove_affix(
     }
     // Mixed literal/symbol: over-approximate with a fresh symbol bounded
     // by the quotient of the whole value's language.
-    let lang = Dfa::from_regex(&value.to_regex());
-    let pat_dfa = Dfa::from_regex(pattern);
-    let approx = match affix {
-        Affix::Suffix => lang
-            .right_quotient(&pat_dfa)
-            .to_regex()
-            .or(&value.to_regex()),
-        Affix::Prefix => lang
-            .left_quotient(&pat_dfa)
-            .to_regex()
-            .or(&value.to_regex()),
-    };
+    let lang = value.to_regex();
+    let approx = memo::affix_quotient(&lang, pattern, affix).or(&lang);
     vec![RemovalCase {
         result: SymStr::sym(
             fresh(),
@@ -217,42 +184,25 @@ pub fn remove_affix(
     }]
 }
 
-/// Exact removal on a literal string.
+/// Exact removal on a literal string: scans the cut points from the end
+/// that reaches the wanted affix first and stops at the first match.
 pub fn remove_affix_literal(text: &str, pattern: &Regex, affix: Affix, longest: bool) -> String {
     let bytes = text.as_bytes();
-    let n = bytes.len();
-    match affix {
-        Affix::Suffix => {
-            // Candidate suffixes start at i; smallest = largest i > …
-            let mut candidates: Vec<usize> =
-                (0..=n).filter(|&i| pattern.matches(&bytes[i..])).collect();
-            candidates.sort_unstable();
-            let cut = if longest {
-                candidates.first().copied()
-            } else {
-                // Smallest non-trivial? POSIX: smallest matching suffix,
-                // which may be empty.
-                candidates.last().copied()
-            };
-            match cut {
-                Some(i) => String::from_utf8_lossy(&bytes[..i]).into_owned(),
-                None => text.to_string(),
-            }
-        }
-        Affix::Prefix => {
-            let mut candidates: Vec<usize> =
-                (0..=n).filter(|&i| pattern.matches(&bytes[..i])).collect();
-            candidates.sort_unstable();
-            let cut = if longest {
-                candidates.last().copied()
-            } else {
-                candidates.first().copied()
-            };
-            match cut {
-                Some(i) => String::from_utf8_lossy(&bytes[i..]).into_owned(),
-                None => text.to_string(),
-            }
-        }
+    // Cut `i` leaves `(rest, affix)`. A suffix grows as `i` falls, a
+    // prefix as `i` rises; POSIX's smallest matching affix may be empty.
+    let split = |i: usize| match affix {
+        Affix::Suffix => (&bytes[..i], &bytes[i..]),
+        Affix::Prefix => (&bytes[i..], &bytes[..i]),
+    };
+    let matches = |&i: &usize| pattern.matches(split(i).1);
+    let cut = if longest == (affix == Affix::Suffix) {
+        (0..=bytes.len()).find(matches)
+    } else {
+        (0..=bytes.len()).rev().find(matches)
+    };
+    match cut {
+        Some(i) => String::from_utf8_lossy(split(i).0).into_owned(),
+        None => text.to_string(),
     }
 }
 
@@ -343,6 +293,41 @@ mod tests {
             "abc"
         );
         assert_eq!(remove_affix_literal("abc", &pat, Affix::Suffix, true), "");
+    }
+
+    #[test]
+    fn literal_removal_takes_the_wanted_cut_among_several() {
+        // `.` occurs three times, so three cuts match each pattern.
+        let dot_suffix = glob_to_regex(".*");
+        let text = "a.tar.gz.bak";
+        assert_eq!(
+            remove_affix_literal(text, &dot_suffix, Affix::Suffix, false),
+            "a.tar.gz"
+        );
+        assert_eq!(
+            remove_affix_literal(text, &dot_suffix, Affix::Suffix, true),
+            "a"
+        );
+        let dot_prefix = glob_to_regex("*.");
+        assert_eq!(
+            remove_affix_literal(text, &dot_prefix, Affix::Prefix, false),
+            "tar.gz.bak"
+        );
+        assert_eq!(
+            remove_affix_literal(text, &dot_prefix, Affix::Prefix, true),
+            "bak"
+        );
+    }
+
+    #[test]
+    fn smallest_prefix_may_be_empty_match() {
+        // `${x#*}` removes the empty prefix, `${x##*}` everything.
+        let pat = glob_to_regex("*");
+        assert_eq!(
+            remove_affix_literal("abc", &pat, Affix::Prefix, false),
+            "abc"
+        );
+        assert_eq!(remove_affix_literal("abc", &pat, Affix::Prefix, true), "");
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod engine;
 pub mod expand;
 pub mod glob;
 pub mod incr;
+mod langs;
 mod plan;
 pub mod provenance;
 pub mod scan;

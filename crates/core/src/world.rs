@@ -13,6 +13,7 @@
 //! information onto `$STEAMROOT` everywhere it appears.
 
 use crate::diag::Diagnostic;
+use crate::langs;
 use crate::provenance::{Provenance, Trail, TrailEntry, TrailKind, WorldId};
 use crate::value::{Seg, SymId, SymStr};
 use shoal_obs::{CowList, CowMap, CowVec};
@@ -134,10 +135,10 @@ impl World {
             sym_bases: CowMap::new(),
         };
         // `$0` is a path-shaped string: the script's invocation name.
-        let zero = w.fresh_sym(Regex::parse_must("/?([^/\n]+/)*[^/\n]+"), "$0");
+        let zero = w.fresh_sym(langs::SCRIPT_NAME.clone(), "$0");
         w.script_name = zero;
         // The initial working directory is some absolute path.
-        let cwd = w.fresh_sym(Regex::parse_must(r"/([^/\n]+(/[^/\n]+)*)?"), "$PWD");
+        let cwd = w.fresh_sym(langs::ABSOLUTE_PATH.clone(), "$PWD");
         w.cwd = cwd;
         w
     }
@@ -174,13 +175,13 @@ impl World {
             "0" => Some(self.script_name.clone()),
             "?" => Some(match self.last_exit {
                 ExitStatus::Zero => SymStr::lit("0"),
-                ExitStatus::NonZero => self.fresh_sym(Regex::parse_must("[1-9][0-9]*"), "$?"),
-                ExitStatus::Unknown => self.fresh_sym(Regex::parse_must("[0-9]+"), "$?"),
+                ExitStatus::NonZero => self.fresh_sym(langs::NONZERO_DECIMAL.clone(), "$?"),
+                ExitStatus::Unknown => self.fresh_sym(langs::DECIMAL.clone(), "$?"),
             }),
             "#" => Some(SymStr::lit(&self.positional.len().to_string())),
-            "$" => Some(self.fresh_sym(Regex::parse_must("[0-9]+"), "$$")),
-            "!" => Some(self.fresh_sym(Regex::parse_must("[0-9]+"), "$!")),
-            "-" => Some(self.fresh_sym(Regex::parse_must("[a-z]*"), "$-")),
+            "$" => Some(self.fresh_sym(langs::DECIMAL.clone(), "$$")),
+            "!" => Some(self.fresh_sym(langs::DECIMAL.clone(), "$!")),
+            "-" => Some(self.fresh_sym(langs::OPTION_LETTERS.clone(), "$-")),
             "*" | "@" => {
                 let mut joined = SymStr::empty();
                 for (i, p) in self.positional.iter().enumerate() {

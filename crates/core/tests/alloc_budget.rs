@@ -7,8 +7,9 @@
 //! brings back per-world work the engine now does once per command
 //! fails here before it shows up in a timing.
 //!
-//! A work test next to them pins what planning saves: a pipeline is
-//! stream-checked once per analysis, however many worlds reach it.
+//! Work tests next to them pin what planning and the relang memo save:
+//! a pipeline is stream-checked, and an affix removal on a symbol
+//! decided, once per analysis, however many worlds reach it.
 //!
 //! The relang memo is flushed before each measured analysis, as in a
 //! fresh `shoal analyze` process, and the same analysis runs once
@@ -78,6 +79,17 @@ fn pipelines_on_forked_worlds() -> String {
     src
 }
 
+/// The same 32 live worlds, each of which then strips `$0`'s last
+/// path component, as Fig. 1 does.
+fn dirname_on_forked_worlds() -> String {
+    let mut src = String::from("#!/bin/sh\n");
+    for d in ["a", "b", "c", "d", "e"] {
+        src.push_str(&format!("test -e /srv/{d} && echo {d}\n"));
+    }
+    src.push_str("d=\"${0%/*}\"\n");
+    src
+}
+
 fn assert_budget(name: &str, src: &str, ceiling: u64) {
     allocations(src);
     let n = allocations(src);
@@ -95,19 +107,21 @@ fn assert_budget(name: &str, src: &str, ceiling: u64) {
 
 #[test]
 fn cold_analyses_stay_within_their_allocation_budgets() {
-    // Each ceiling is the count when symbolic strings came to share
-    // their segments, plus 25%. Before that change the counts were
-    // 30,867, 107,115 and 14,227; before commands and pipelines were
-    // planned once per analysis, 32,611, 143,315 and 23,980; before
-    // simple commands ran once per live-world set, with file-system
-    // keys that owned their component strings, the first two were
-    // 88,598 and 289,007.
-    assert_budget("straight_line(200)", &scale::straight_line(200), 35_984);
-    assert_budget("concatenation of 15", &scale::concatenation(15), 109_793);
+    // Each ceiling is the count when affix removals on a symbol came
+    // to be decided once per analysis in the relang memo, plus 25%.
+    // Before that change the counts were 28,787, 87,824 and 11,940;
+    // before symbolic strings came to share their segments, 30,867,
+    // 107,115 and 14,227; before commands and pipelines were planned
+    // once per analysis, 32,611, 143,315 and 23,980; before simple
+    // commands ran once per live-world set, with file-system keys that
+    // owned their component strings, the first two were 88,598 and
+    // 289,007.
+    assert_budget("straight_line(200)", &scale::straight_line(200), 35_908);
+    assert_budget("concatenation of 15", &scale::concatenation(15), 96_902);
     assert_budget(
         "pipelines on forked worlds",
         &pipelines_on_forked_worlds(),
-        14_925,
+        14_849,
     );
 }
 
@@ -131,4 +145,33 @@ fn each_distinct_pipeline_is_stream_checked_once() {
     };
     assert_eq!(findings(&worlds), findings(&again));
     assert!(findings(&worlds).iter().any(|d| d.contains("[dead-pipe]")));
+}
+
+#[test]
+fn each_distinct_affix_removal_is_decided_once() {
+    use shoal_relang::memo::affix_splits_computed;
+    let src = dirname_on_forked_worlds();
+    let script = shoal_shparse::parse_script(&src).expect("script parses");
+    let run = || {
+        shoal_relang::memo_flush();
+        let before = affix_splits_computed();
+        let engine = Engine::for_script(AnalysisOptions::default(), &script);
+        let worlds = engine.exec_items(vec![World::initial()], &script.items);
+        let dirs: Vec<String> = worlds
+            .iter()
+            .map(|w| w.get_var("d").expect("d is set").describe())
+            .collect();
+        (dirs, affix_splits_computed() - before)
+    };
+    let (dirs, splits) = run();
+    // Every world forks on whether `$0` has a slash.
+    assert_eq!(dirs.len(), 2 * 32);
+    assert_eq!(splits, 1);
+    // Without the memo every world computes the split, and ends with
+    // the same values.
+    shoal_relang::set_memo_enabled(false);
+    let (again, unmemoized) = run();
+    shoal_relang::set_memo_enabled(true);
+    assert_eq!(unmemoized, 32);
+    assert_eq!(again, dirs);
 }

@@ -14,7 +14,12 @@
 //!   id.
 //! * **Memo tables**: DFA compilation plus the four decision procedures
 //!   (emptiness, containment, equivalence, disjointness / emptiness of
-//!   intersection) and witness extraction are cached keyed on term ids.
+//!   intersection), witness extraction, affix quotients and the affix
+//!   split ([`affix_split`]: which values of a constraint have an affix
+//!   in a pattern, which do not, and what is left once it is removed —
+//!   the shell's `${x%pat}` / `${x#pat}` on a symbolic `x`) are cached
+//!   keyed on term ids. Every world that reaches the same removal then
+//!   costs one lookup.
 //!
 //! Correctness invariants:
 //!
@@ -42,7 +47,7 @@
 
 use crate::ast::Regex;
 use crate::dfa::{ApproxReason, Dfa};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -60,6 +65,36 @@ pub const INTERN_CAP: usize = 16 * 1024;
 const DECISION_CAP: usize = 16 * 1024;
 /// Compiled-DFA cache capacity (DFAs are the heavyweight entries).
 const COMPILE_CAP: usize = 2 * 1024;
+
+/// Which end of a string an affix removal strips.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Affix {
+    /// A prefix in the pattern (the shell's `${x#pat}` / `${x##pat}`).
+    Prefix,
+    /// A suffix in the pattern (the shell's `${x%pat}` / `${x%%pat}`).
+    Suffix,
+}
+
+/// A constraint `C` split by whether its values have an affix in a
+/// pattern `P` ([`affix_split`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AffixSplit {
+    /// The values with such an affix, when there are any.
+    pub matched: Option<AffixMatch>,
+    /// `C \ Σ*P` (suffix) or `C \ PΣ*` (prefix), when non-empty: the
+    /// values the removal leaves unchanged.
+    pub unmatched: Option<Regex>,
+}
+
+/// The matched side of an [`AffixSplit`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AffixMatch {
+    /// `C ∩ Σ*P` (suffix) or `C ∩ PΣ*` (prefix).
+    pub originals: Regex,
+    /// What is left of a value of `C` once an affix in `P` is removed
+    /// ([`affix_quotient`]).
+    pub quotient: Regex,
+}
 
 /// A cached answer plus the approximation events its computation
 /// recorded (replayed on every hit).
@@ -87,6 +122,8 @@ struct Memo {
     equiv: HashMap<(TermId, TermId), Cached<bool>>,
     disjoint: HashMap<(TermId, TermId), Cached<bool>>,
     witness: HashMap<TermId, Cached<Option<Vec<u8>>>>,
+    quotient: HashMap<(TermId, TermId, Affix), Cached<Regex>>,
+    affix: HashMap<(TermId, TermId, Affix), Cached<AffixSplit>>,
     compile: HashMap<TermId, Cached<Arc<Dfa>>>,
 }
 
@@ -103,6 +140,8 @@ impl Memo {
             equiv: HashMap::new(),
             disjoint: HashMap::new(),
             witness: HashMap::new(),
+            quotient: HashMap::new(),
+            affix: HashMap::new(),
             compile: HashMap::new(),
         }
     }
@@ -116,6 +155,8 @@ impl Memo {
         self.equiv.clear();
         self.disjoint.clear();
         self.witness.clear();
+        self.quotient.clear();
+        self.affix.clear();
         self.compile.clear();
         shoal_obs::counter_add("relang.memo_evict", 1);
     }
@@ -150,6 +191,7 @@ impl Memo {
 
 thread_local! {
     static MEMO: RefCell<Memo> = RefCell::new(Memo::new());
+    static AFFIX_SPLITS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Enables or disables memoization on this thread (tests compare
@@ -316,6 +358,62 @@ pub fn witness(r: &Regex) -> Option<Vec<u8>> {
     })
 }
 
+/// Memoized affix quotient: the strings left of a value of `lang` once
+/// an affix in `pattern` is removed — the right quotient `lang / pattern`
+/// for a suffix, the left quotient `pattern \ lang` for a prefix — as a
+/// regex (GNFA state elimination of the quotient automaton).
+pub fn affix_quotient(lang: &Regex, pattern: &Regex, affix: Affix) -> Regex {
+    let _t = shoal_obs::trace::phase_timer("relang");
+    memoized!(
+        quotient,
+        |m: &mut Memo| (m.intern(lang), m.intern(pattern), affix),
+        || {
+            let (l, p) = (compile_shared(lang), compile_shared(pattern));
+            match affix {
+                Affix::Suffix => l.right_quotient(&p),
+                Affix::Prefix => l.left_quotient(&p),
+            }
+            .to_regex()
+        }
+    )
+}
+
+/// Memoized affix split of `constraint` by `pattern`: the values with
+/// an affix in `pattern` and what is left of them once it is removed,
+/// and the values without one. The quotient is computed only when the
+/// matched side is live.
+pub fn affix_split(constraint: &Regex, pattern: &Regex, affix: Affix) -> AffixSplit {
+    let _t = shoal_obs::trace::phase_timer("relang");
+    memoized!(
+        affix,
+        |m: &mut Memo| (m.intern(constraint), m.intern(pattern), affix),
+        || {
+            AFFIX_SPLITS.with(|n| n.set(n.get() + 1));
+            let affixed = match affix {
+                Affix::Suffix => Regex::anything().then(pattern),
+                Affix::Prefix => pattern.then(&Regex::anything()),
+            };
+            let originals = constraint.intersect(&affixed);
+            let unmatched = constraint.difference(&affixed);
+            let matched = (!originals.is_empty()).then(|| AffixMatch {
+                quotient: affix_quotient(constraint, pattern, affix),
+                originals,
+            });
+            AffixSplit {
+                matched,
+                unmatched: (!unmatched.is_empty()).then_some(unmatched),
+            }
+        }
+    )
+}
+
+/// How many affix splits this thread has computed rather than found
+/// in the memo (every call while memoization is off). Tests use it to
+/// pin that a removal reached by many worlds is decided once.
+pub fn affix_splits_computed() -> u64 {
+    AFFIX_SPLITS.with(Cell::get)
+}
+
 /// Memoized DFA compilation, sharing the cached `Arc` (no clone of the
 /// transition tables). The lazy decision procedures go through this so
 /// a hot operand pair costs two table lookups before the search.
@@ -441,6 +539,76 @@ mod tests {
         // cached exact answer was built under a different cap).
         set_dfa_state_cap(2);
         assert!(!is_empty(&r));
+        assert!(
+            !take_approx_hits().is_empty(),
+            "cap change must invalidate the cached exact answer"
+        );
+        set_dfa_state_cap(DEFAULT_DFA_STATE_CAP);
+        memo_flush();
+        let _ = take_approx_hits();
+    }
+
+    #[test]
+    fn affix_split_is_computed_once() {
+        memo_flush();
+        let c = Regex::parse_must("/?([^/\n]+/)*[^/\n]+");
+        let p = Regex::parse_must("/(.|\n)*");
+        let before = affix_splits_computed();
+        let split = affix_split(&c, &p, Affix::Suffix);
+        for _ in 0..3 {
+            assert_eq!(affix_split(&c, &p, Affix::Suffix), split);
+        }
+        assert_eq!(affix_splits_computed() - before, 1);
+        let matched = split.matched.expect("paths with a slash match");
+        assert!(matched.originals.matches(b"/a/b"));
+        assert!(matched.quotient.matches(b"/a"));
+        assert!(split.unmatched.expect("bare names do not").matches(b"b"));
+        // The other side is a different question.
+        let _ = affix_split(&c, &p, Affix::Prefix);
+        assert_eq!(affix_splits_computed() - before, 2);
+    }
+
+    #[test]
+    fn affix_split_approx_hits_replay_on_memo_hits() {
+        memo_flush();
+        let _ = take_approx_hits();
+        set_dfa_state_cap(2);
+        let c = Regex::parse_must("(a|b)*abab(a|b)*");
+        let p = Regex::parse_must("b(a|b)*");
+        let miss = affix_split(&c, &p, Affix::Suffix);
+        let first = take_approx_hits();
+        assert!(
+            !first.is_empty(),
+            "tiny cap must record an approximation on the miss"
+        );
+        assert_eq!(affix_split(&c, &p, Affix::Suffix), miss);
+        let second = take_approx_hits();
+        assert_eq!(
+            first.len(),
+            second.len(),
+            "cache hits must replay the recorded approx events"
+        );
+        set_dfa_state_cap(DEFAULT_DFA_STATE_CAP);
+        memo_flush();
+        let _ = take_approx_hits();
+    }
+
+    #[test]
+    fn affix_split_cap_change_invalidates() {
+        memo_flush();
+        let _ = take_approx_hits();
+        let c = Regex::parse_must("(a|b)*abab(a|b)*");
+        let p = Regex::parse_must("b(a|b)*");
+        let _ = affix_split(&c, &p, Affix::Suffix);
+        assert!(take_approx_hits().is_empty(), "full cap: exact");
+        let before = affix_splits_computed();
+        set_dfa_state_cap(2);
+        let _ = affix_split(&c, &p, Affix::Suffix);
+        assert_eq!(
+            affix_splits_computed() - before,
+            1,
+            "cap change must recompute the split"
+        );
         assert!(
             !take_approx_hits().is_empty(),
             "cap change must invalidate the cached exact answer"

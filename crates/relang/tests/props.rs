@@ -213,6 +213,43 @@ fn memoized_decisions_equal_fresh() {
     shoal_relang::memo_flush();
 }
 
+/// A random glob-shaped pattern over {a, b, c, /}: literal bytes, `?`
+/// (any byte) and `*` (any string), as `${x%pat}` and `${x#pat}` see
+/// them.
+fn glob_pattern(g: &mut Gen) -> Regex {
+    Regex::concat(g.vec_of(0..4, |g| match g.usize(0..6) {
+        0 => Regex::anything(),
+        1 => Regex::any_byte(),
+        _ => Regex::byte(*g.pick(b"abc/")),
+    }))
+}
+
+/// The memoized affix split and quotient answer exactly what the same
+/// call computes with memoization off, on the cold and the warm call.
+#[test]
+fn memoized_affix_splits_equal_fresh() {
+    use shoal_relang::memo::{affix_quotient, affix_split, Affix};
+    use shoal_relang::{memo_flush, set_memo_enabled};
+    run_cases("memoized_affix_splits_equal_fresh", 64, |g| {
+        let c = classical_regex(g, 3);
+        let p = glob_pattern(g);
+        for affix in [Affix::Suffix, Affix::Prefix] {
+            set_memo_enabled(false);
+            let fresh = (affix_split(&c, &p, affix), affix_quotient(&c, &p, affix));
+            set_memo_enabled(true);
+            memo_flush();
+            for pass in ["cold", "warm"] {
+                let memoized = (affix_split(&c, &p, affix), affix_quotient(&c, &p, affix));
+                assert_eq!(
+                    memoized, fresh,
+                    "{pass} memo answers diverge: {c} by {p} ({affix:?})"
+                );
+            }
+        }
+    });
+    shoal_relang::memo_flush();
+}
+
 /// The lazy on-the-fly decision procedures must return exactly the
 /// verdicts of the eager materialize-then-check pipeline whenever
 /// neither side degraded to ⊤ — across caps and with memoization on
