@@ -50,13 +50,13 @@ fn main() {
     ] {
         // Prime the cache, and assert the paths we are about to time
         // are the paths we think they are.
-        let primed = client::analyze(&cfg, source, &opts, false);
+        let primed = client::analyze(&cfg, source, &opts);
         assert!(matches!(primed.served, Served::Daemon { .. }));
-        let warmed = client::analyze(&cfg, source, &opts, false);
+        let warmed = client::analyze(&cfg, source, &opts);
         assert_eq!(warmed.served, Served::Daemon { cache_hit: true });
 
         bench(&format!("jit/warm_{name}"), || {
-            black_box(client::analyze(&cfg, source, &opts, false));
+            black_box(client::analyze(&cfg, source, &opts));
         });
         bench(&format!("jit/local_{name}"), || {
             black_box(analyze_source_with(source, opts.clone()).expect("figures parse"));

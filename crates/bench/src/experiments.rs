@@ -1082,7 +1082,7 @@ pub fn e16_jit_latency() {
         // Cold: first request — the daemon runs the engine and fills
         // both cache tiers.
         let t0 = Instant::now();
-        let cold = client::analyze(&cfg, source, &opts, false);
+        let cold = client::analyze(&cfg, source, &opts);
         let cold_us = t0.elapsed().as_micros() as f64;
         assert_eq!(
             cold.served,
@@ -1096,7 +1096,7 @@ pub fn e16_jit_latency() {
         let mut warm_entry = None;
         for _ in 0..20 {
             let t0 = Instant::now();
-            let warm = client::analyze(&cfg, source, &opts, false);
+            let warm = client::analyze(&cfg, source, &opts);
             warm_us = warm_us.min(t0.elapsed().as_micros() as f64);
             assert_eq!(warm.served, Served::Daemon { cache_hit: true });
             warm_entry = Some(warm.result.expect("workloads parse"));

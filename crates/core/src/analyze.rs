@@ -404,11 +404,11 @@ pub(crate) fn finalize(
     // Audit finalization (audit-off: the recorder was never touched and
     // this whole block is skipped — no allocation, no clock reads).
     let coverage = engine.opts.audit.then(|| {
-        let mut rec = engine.audit.replace(crate::audit::AuditRecorder::default());
+        let mut cov = engine.audit.take().finish(&diagnostics, &cap_hits);
         for hit in approx {
-            rec.record_loss(shoal_obs::audit::LossCause::DfaCap, hit.site().to_string(), 1);
+            cov.add_loss(shoal_obs::audit::LossCause::DfaCap, hit.site(), 1);
         }
-        rec.finish(&diagnostics)
+        cov
     });
     AnalysisReport {
         diagnostics,

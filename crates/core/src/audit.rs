@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::Diagnostic;
 use crate::scan::ScanSummary;
+use crate::stats::{CapHit, CapReason};
 use shoal_obs::audit::{CheckerCov, CommandCov, CoverageMap, LossCause};
 use shoal_obs::json::Json;
 
@@ -39,15 +40,15 @@ struct CmdRec {
     lines: BTreeSet<u32>,
 }
 
-/// Per-analysis audit state, recorded by the engine and finished into a
-/// single-script [`CoverageMap`]. All containers start empty; an
-/// audit-off analysis constructs exactly one of these (three empty
-/// `BTreeMap`/`Vec` headers, no heap allocation) and never calls into
-/// it.
+/// Per-analysis audit state: the command call sites the engine saw,
+/// finished into a single-script [`CoverageMap`]. It starts empty; an
+/// audit-off analysis constructs exactly one of these (an empty
+/// `BTreeMap` header, no heap allocation) and never calls into it.
+/// Precision losses are not recorded here: [`AuditRecorder::finish`]
+/// derives them from the engine's cap hits.
 #[derive(Debug, Clone, Default)]
 pub struct AuditRecorder {
     commands: BTreeMap<String, CmdRec>,
-    losses: BTreeMap<(LossCause, String), u64>,
 }
 
 impl AuditRecorder {
@@ -60,20 +61,12 @@ impl AuditRecorder {
         rec.lines.insert(line);
     }
 
-    /// Records `n` precision-loss events of `cause` at `site`.
-    pub fn record_loss(&mut self, cause: LossCause, site: String, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let e = self.losses.entry((cause, site)).or_insert(0);
-        *e = e.saturating_add(n);
-    }
-
     /// Finalizes into a single-script [`CoverageMap`]: checker firing
     /// counts come from the final deduplicated diagnostics (via their
-    /// `checker:<id>` origin tags), and every unspecced call site
-    /// becomes a [`LossCause::NoSpec`] loss.
-    pub fn finish(self, diagnostics: &[Diagnostic]) -> CoverageMap {
+    /// `checker:<id>` origin tags), every unspecced call site becomes a
+    /// [`LossCause::NoSpec`] loss, and each merged cap hit becomes the
+    /// loss [`cap_loss`] maps it to, at site `line N`.
+    pub fn finish(self, diagnostics: &[Diagnostic], cap_hits: &[CapHit]) -> CoverageMap {
         let mut m = CoverageMap { scripts: 1, ..CoverageMap::default() };
         for id in CHECKER_IDS {
             m.checkers.insert(id.to_string(), CheckerCov::default());
@@ -100,11 +93,30 @@ impl AuditRecorder {
         for site in no_spec_sites {
             m.add_loss(LossCause::NoSpec, &site, 1);
         }
-        for ((cause, site), n) in self.losses {
-            m.add_loss(cause, &site, n);
+        for hit in cap_hits {
+            if let Some((cause, n)) = cap_loss(hit) {
+                m.add_loss(cause, &format!("line {}", hit.line), n);
+            }
         }
         m
     }
+}
+
+/// The precision loss one merged cap hit stands for: the worlds
+/// dropped at the world and expansion caps, one event per hit for loop
+/// widening and budget exhaustion. A DFA-cap loss is `None` here: it
+/// comes from the approximation events, which name the construction
+/// that gave up.
+fn cap_loss(hit: &CapHit) -> Option<(LossCause, u64)> {
+    let (cause, n) = match hit.reason {
+        CapReason::MaxWorlds => (LossCause::WorldCap, hit.dropped),
+        CapReason::Expansion => (LossCause::ExpansionCap, hit.dropped),
+        CapReason::LoopBound => (LossCause::LoopWiden, hit.hits),
+        CapReason::Fuel => (LossCause::Fuel, hit.hits),
+        CapReason::Deadline => (LossCause::Deadline, hit.hits),
+        CapReason::DfaStates => return None,
+    };
+    Some((cause, n as u64))
 }
 
 /// One command in the missing-spec ranking.
@@ -125,8 +137,8 @@ pub struct AuditReport {
     pub total: usize,
     /// Scripts that produced a coverage map.
     pub audited: usize,
-    /// Scripts with no coverage map (panicked workers, daemon-served
-    /// results) — reported explicitly, never silently dropped.
+    /// Scripts with no coverage map (workers that panicked twice) —
+    /// reported explicitly, never silently dropped.
     pub unaudited: usize,
     /// The merged fleet coverage map.
     pub fleet: CoverageMap,
@@ -334,7 +346,7 @@ mod tests {
             rec.record_command("mystery", 7, false);
         }
         rec.record_command("mystery", 9, false);
-        let cov = rec.finish(&[]);
+        let cov = rec.finish(&[], &[]);
         assert_eq!(cov.commands["mystery"].sites, 2);
         let totals = cov.loss_totals();
         assert_eq!(totals[&LossCause::NoSpec], 2);
@@ -342,8 +354,8 @@ mod tests {
 
     #[test]
     fn finish_counts_checker_firings_and_flags_suppression() {
-        let mut rec = AuditRecorder::default();
-        rec.record_loss(LossCause::LoopWiden, "line 3".to_string(), 1);
+        let rec = AuditRecorder::default();
+        let widened = CapHit { reason: CapReason::LoopBound, line: 3, dropped: 0, hits: 1 };
         let fired = Diagnostic::new(
             DiagCode::DangerousDelete,
             Severity::Error,
@@ -351,7 +363,8 @@ mod tests {
             "boom".to_string(),
         )
         .with_origin("checker:delete");
-        let cov = rec.finish(&[fired]);
+        let cov = rec.finish(&[fired], &[widened]);
+        assert_eq!(cov.loss_totals()[&LossCause::LoopWiden], 1);
         assert_eq!(cov.checkers["delete"].fired, 1);
         assert_eq!(cov.checkers["delete"].suppressed, 0);
         // Degraded script + silent checker = possibly suppressed.

@@ -150,15 +150,6 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// Records a precision loss iff auditing is on (one branch when
-    /// off; the site string is built lazily by the caller's closure so
-    /// the dark path allocates nothing).
-    fn audit_loss(&self, cause: shoal_obs::audit::LossCause, site: impl FnOnce() -> String, n: u64) {
-        if self.opts.audit {
-            self.audit.borrow_mut().record_loss(cause, site(), n);
-        }
-    }
-
     /// Records a command occurrence at a call site iff auditing is on
     /// (deduped per (name, line) by the recorder, never per world).
     fn audit_command(&self, name: &str, line: u32, has_spec: bool) {
@@ -176,11 +167,6 @@ impl<'s> Engine<'s> {
             return;
         }
         self.stats.note_cap(reason, span.line, 0);
-        let cause = match reason {
-            CapReason::Deadline => shoal_obs::audit::LossCause::Deadline,
-            _ => shoal_obs::audit::LossCause::Fuel,
-        };
-        self.audit_loss(cause, || format!("line {}", span.line), 1);
         shoal_obs::event!("budget_exhausted", reason = reason.as_str(), line = span.line);
         let message = match reason {
             CapReason::Fuel => format!(
@@ -273,17 +259,10 @@ impl<'s> Engine<'s> {
         }
         items.truncate(max);
         self.stats.note_cap(reason, span.line, dropped);
-        let (cause, what) = match reason {
-            CapReason::Expansion => (
-                shoal_obs::audit::LossCause::ExpansionCap,
-                "expansion explosion: capped at",
-            ),
-            _ => (
-                shoal_obs::audit::LossCause::WorldCap,
-                "path explosion: exploration capped at",
-            ),
+        let what = match reason {
+            CapReason::Expansion => "expansion explosion: capped at",
+            _ => "path explosion: exploration capped at",
         };
-        self.audit_loss(cause, || format!("line {}", span.line), dropped as u64);
         if let Some(w) = items.first_mut().map(world_of) {
             let already = w
                 .diags
@@ -481,7 +460,7 @@ impl<'s> Engine<'s> {
             // The check depends only on the pipeline's text; its
             // findings go on every world that reaches it.
             let check = self.plans.pipeline(pipe, || {
-                self.stats.note_pipeline_check();
+                shoal_obs::counter_add("engine.pipeline_checks", 1);
                 self.stream_check_pipeline(pipe)
             });
             for d in &check.findings {
@@ -862,7 +841,6 @@ impl<'s> Engine<'s> {
         // assume the loop eventually exits.
         if !active.is_empty() {
             self.stats.note_cap(CapReason::LoopBound, span.line, 0);
-            self.audit_loss(shoal_obs::audit::LossCause::LoopWiden, || format!("line {}", span.line), 1);
         }
         for mut w in active {
             havoc_assigned(&mut w, &clause.body);
@@ -919,7 +897,6 @@ impl<'s> Engine<'s> {
             if fields.len() > self.opts.loop_bound.max(8) {
                 // Too many iterations to enumerate: havoc the variable.
                 self.stats.note_cap(CapReason::LoopBound, span.line, 0);
-                self.audit_loss(shoal_obs::audit::LossCause::LoopWiden, || format!("line {}", span.line), 1);
                 let mut w = w;
                 let v = w.fresh_sym(Regex::any_line(), &format!("${}", clause.var));
                 w.set_var(&clause.var, v);

@@ -74,10 +74,7 @@ pub use incr::{IncrSession, IncrStats};
 pub use provenance::{
     Provenance, TrailEntry, TrailKind, WorldId, WorldNode, WorldOutcome, WorldTree,
 };
-pub use scan::{
-    scan_paths, scan_paths_with, scan_source, scan_source_with, Outcome, RemoteAnalyzer,
-    RemoteReport, ScanOptions, ScanSummary, ScriptResult,
-};
+pub use scan::{scan_paths, scan_source, Outcome, ScanOptions, ScanSummary, ScriptResult};
 pub use sniff::is_shell_script;
 pub use stats::{CapHit, CapReason, EngineStats, ProfileReport};
 pub use value::{Seg, SymStr};

@@ -120,58 +120,6 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// A daemon-served analysis result for one script: the path-free
-/// report body (exactly the fields of
-/// [`crate::provenance::report_json`] minus `path`) plus the
-/// pre-rendered diagnostic display lines, as returned over the
-/// `shoal-jit/v1` wire protocol. The scan driver consumes it without
-/// reconstructing an [`AnalysisReport`] — the daemon serialized the
-/// authoritative one.
-#[derive(Debug, Clone)]
-pub struct RemoteReport {
-    /// The report body object (`diagnostics`, `terminal_worlds`,
-    /// `cap_hits`, …).
-    pub body: Json,
-    /// One entry per diagnostic: its full `Display` rendering (may
-    /// contain embedded newlines for path conditions).
-    pub text: Vec<String>,
-    /// Count of diagnostics at warning severity or above.
-    pub findings: usize,
-}
-
-impl RemoteReport {
-    /// Builds a remote report from wire parts, classifying the outcome
-    /// from the body's own fields (same taxonomy as [`Outcome`], minus
-    /// `Panicked` — a daemon that panics serves nothing and the client
-    /// falls back to a local, shielded run).
-    pub fn classify(&self) -> Outcome {
-        let budget_hit = match self.body.get("cap_hits") {
-            Some(Json::Arr(hits)) => hits.iter().any(|h| {
-                matches!(
-                    h.get("reason").and_then(Json::as_str),
-                    Some("fuel") | Some("deadline")
-                )
-            }),
-            _ => false,
-        };
-        if budget_hit {
-            Outcome::BudgetExhausted
-        } else if self.body.get("parse_partial") == Some(&Json::Bool(true)) {
-            Outcome::ParsePartial
-        } else if self.findings > 0 {
-            Outcome::Findings
-        } else {
-            Outcome::Ok
-        }
-    }
-}
-
-/// A hook that serves one script's analysis remotely (the JIT daemon
-/// client). `None` means "unreachable / not served" — the scan driver
-/// then falls back to the local panic-shielded path and marks the
-/// result `local-fallback`.
-pub type RemoteAnalyzer = dyn Fn(&str, &str, &AnalysisOptions) -> Option<RemoteReport> + Sync;
-
 /// One script's scan result.
 #[derive(Debug)]
 pub struct ScriptResult {
@@ -179,18 +127,8 @@ pub struct ScriptResult {
     pub path: String,
     /// Outcome classification.
     pub outcome: Outcome,
-    /// The analysis report; `None` for [`Outcome::Panicked`] and for
-    /// daemon-served results (which carry [`ScriptResult::remote`]).
+    /// The analysis report; `None` for [`Outcome::Panicked`].
     pub report: Option<AnalysisReport>,
-    /// The daemon-served result, when `--daemon` routing served this
-    /// script.
-    pub remote: Option<RemoteReport>,
-    /// How this script was analyzed: `None` for a plain local scan,
-    /// `Some("daemon")` when the daemon served it, and
-    /// `Some("local-fallback")` when daemon routing was requested but
-    /// this script fell back in-process (the degradation contract:
-    /// never lose a verdict, always mark the path taken).
-    pub served: Option<&'static str>,
     /// The panic payload when the worker panicked (kept even when the
     /// retry succeeded, so the flake is visible).
     pub panic_message: Option<String>,
@@ -231,15 +169,12 @@ impl ScanSummary {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for r in &self.results {
-            let findings = match (&r.report, &r.remote) {
-                (Some(rep), _) => rep
-                    .diagnostics
+            let findings = r.report.as_ref().map_or(0, |rep| {
+                rep.diagnostics
                     .iter()
                     .filter(|d| d.severity >= Severity::Warning)
-                    .count(),
-                (None, Some(remote)) => remote.findings,
-                (None, None) => 0,
-            };
+                    .count()
+            });
             out.push_str(&format!(
                 "{}: {} ({} finding{})\n",
                 r.path,
@@ -256,10 +191,6 @@ impl ScanSummary {
             if let Some(rep) = &r.report {
                 for d in &rep.diagnostics {
                     out.push_str(&format!("  {d}\n"));
-                }
-            } else if let Some(remote) = &r.remote {
-                for line in &remote.text {
-                    out.push_str(&format!("  {line}\n"));
                 }
             }
         }
@@ -284,26 +215,14 @@ impl ScanSummary {
     pub fn to_json(&self) -> Json {
         let mut scripts = Vec::new();
         for r in &self.results {
-            let mut fields = match (&r.report, &r.remote) {
-                (Some(rep), _) => match report_json(&r.path, rep) {
+            let mut fields = match &r.report {
+                Some(rep) => match report_json(&r.path, rep) {
                     Json::Obj(fields) => fields,
                     other => vec![("report".into(), other)],
                 },
-                (None, Some(remote)) => {
-                    // The daemon serialized the body; prepend the path
-                    // so the object shape matches the local case.
-                    let mut fields = vec![("path".into(), Json::Str(r.path.clone()))];
-                    if let Json::Obj(body) = &remote.body {
-                        fields.extend(body.iter().cloned());
-                    }
-                    fields
-                }
-                (None, None) => vec![("path".into(), Json::Str(r.path.clone()))],
+                None => vec![("path".into(), Json::Str(r.path.clone()))],
             };
             fields.push(("outcome".into(), Json::Str(r.outcome.as_str().into())));
-            if let Some(served) = r.served {
-                fields.push(("served".into(), Json::Str(served.into())));
-            }
             if let Some(msg) = &r.panic_message {
                 fields.push(("panic".into(), Json::Str(msg.clone())));
             }
@@ -427,36 +346,6 @@ fn classify(report: &AnalysisReport) -> Outcome {
 /// Scans one script's source: analyze under budgets in a panic shield,
 /// retry once with tightened budgets on panic, classify.
 pub fn scan_source(path: &str, src: &str, opts: &ScanOptions) -> ScriptResult {
-    scan_source_with(path, src, opts, None)
-}
-
-/// [`scan_source`] with optional remote (daemon) routing: when `remote`
-/// is given and serves the script, the local analysis is skipped
-/// entirely; when it declines (daemon unreachable, error), the script
-/// falls back to the usual shielded local path, marked
-/// `local-fallback`.
-pub fn scan_source_with(
-    path: &str,
-    src: &str,
-    opts: &ScanOptions,
-    remote: Option<&RemoteAnalyzer>,
-) -> ScriptResult {
-    if let Some(remote) = remote {
-        if let Some(rr) = remote(path, src, &opts.analysis_options()) {
-            shoal_obs::counter_add("scan.remote_served", 1);
-            return ScriptResult {
-                path: path.to_string(),
-                outcome: rr.classify(),
-                report: None,
-                remote: Some(rr),
-                served: Some("daemon"),
-                panic_message: None,
-                retried: false,
-            };
-        }
-        shoal_obs::counter_add("scan.remote_fallback", 1);
-    }
-    let served = remote.map(|_| "local-fallback");
     shoal_obs::failpoint::set_context(path);
     let first = run_isolated(src, opts.analysis_options());
     let result = match first {
@@ -464,8 +353,6 @@ pub fn scan_source_with(
             path: path.to_string(),
             outcome: classify(&report),
             report: Some(report),
-            remote: None,
-            served,
             panic_message: None,
             retried: false,
         },
@@ -477,8 +364,6 @@ pub fn scan_source_with(
                     path: path.to_string(),
                     outcome: classify(&report),
                     report: Some(report),
-                    remote: None,
-                    served,
                     panic_message: Some(msg),
                     retried: true,
                 },
@@ -486,8 +371,6 @@ pub fn scan_source_with(
                     path: path.to_string(),
                     outcome: Outcome::Panicked,
                     report: None,
-                    remote: None,
-                    served,
                     panic_message: Some(msg),
                     retried: true,
                 },
@@ -562,16 +445,6 @@ fn collect(roots: &[PathBuf], summary: &mut ScanSummary) -> Vec<(String, String)
 /// in input (= sorted path) order, so the summary — text, JSON, and
 /// exit code — is byte-identical to a sequential scan.
 pub fn scan_paths(roots: &[PathBuf], opts: &ScanOptions) -> ScanSummary {
-    scan_paths_with(roots, opts, None)
-}
-
-/// [`scan_paths`] with optional remote (daemon) routing; see
-/// [`scan_source_with`].
-pub fn scan_paths_with(
-    roots: &[PathBuf],
-    opts: &ScanOptions,
-    remote: Option<&RemoteAnalyzer>,
-) -> ScanSummary {
     let mut summary = ScanSummary::default();
     let scripts = collect(roots, &mut summary);
     shoal_obs::counter_add("scan.scripts", scripts.len() as u64);
@@ -583,7 +456,7 @@ pub fn scan_paths_with(
         // One clock pair and a charge, not a phase timer: a live timer
         // would make the relang timers inside the analysis inert.
         let t_scan = Instant::now();
-        let result = scan_source_with(path, src, opts, remote);
+        let result = scan_source(path, src, opts);
         shoal_obs::trace::phase_add("scan", t_scan.elapsed().as_micros() as u64);
         result
     });

@@ -1,5 +1,5 @@
 //! Exploration statistics the world tree cannot answer: the peak live
-//! world set, cap-hit records and pipeline stream checks.
+//! world set and cap-hit records.
 //!
 //! The engine threads an [`EngineStats`] through every world-set
 //! transformation via interior mutability (all `Engine` methods take
@@ -79,9 +79,6 @@ pub struct EngineStats {
     /// engine checkpoints its length). [`EngineStats::merged_cap_hits`]
     /// deduplicates it by (reason, line).
     pub cap_hits: RefCell<Vec<CapHit>>,
-    /// Multi-stage pipelines stream-checked: once per distinct pipeline
-    /// of the planned script, however many worlds reach it.
-    pub pipeline_checks: Cell<u64>,
 }
 
 impl EngineStats {
@@ -92,12 +89,6 @@ impl EngineStats {
             self.peak_live.set(n);
             shoal_obs::gauge_max("engine.peak_live_worlds", n as u64);
         }
-    }
-
-    /// Counts one stream check of a multi-stage pipeline.
-    pub fn note_pipeline_check(&self) {
-        self.pipeline_checks.set(self.pipeline_checks.get() + 1);
-        shoal_obs::counter_add("engine.pipeline_checks", 1);
     }
 
     /// Logs a bound hit and emits a `cap_hit` trace event.

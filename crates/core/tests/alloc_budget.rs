@@ -7,9 +7,10 @@
 //! brings back per-world work the engine now does once per command
 //! fails here before it shows up in a timing.
 //!
-//! Work tests next to them pin what planning and the relang memo save:
-//! a pipeline is stream-checked, and an affix removal on a symbol
-//! decided, once per analysis, however many worlds reach it.
+//! A work test next to them pins what the relang memo saves: an affix
+//! removal on a symbol is decided once per analysis, however many
+//! worlds reach it (`pipeline_checks.rs` pins the same for a pipeline's
+//! stream check).
 //!
 //! The relang memo is flushed before each measured analysis, as in a
 //! fresh `shoal analyze` process, and the same analysis runs once
@@ -123,28 +124,6 @@ fn cold_analyses_stay_within_their_allocation_budgets() {
         &pipelines_on_forked_worlds(),
         14_849,
     );
-}
-
-#[test]
-fn each_distinct_pipeline_is_stream_checked_once() {
-    let src = pipelines_on_forked_worlds();
-    let script = shoal_shparse::parse_script(&src).expect("script parses");
-    let planned = Engine::for_script(AnalysisOptions::default(), &script);
-    let worlds = planned.exec_items(vec![World::initial()], &script.items);
-    assert_eq!(worlds.len(), 32);
-    assert_eq!(planned.stats.pipeline_checks.get(), 2);
-    // Without the plan table every world checks both pipelines, and
-    // reports the same findings.
-    let unplanned = Engine::new(AnalysisOptions::default());
-    let again = unplanned.exec_items(vec![World::initial()], &script.items);
-    assert_eq!(unplanned.stats.pipeline_checks.get(), 2 * 32);
-    let findings = |ws: &[World]| -> Vec<String> {
-        ws.iter()
-            .flat_map(|w| w.diags.iter().map(|d| d.to_string()))
-            .collect()
-    };
-    assert_eq!(findings(&worlds), findings(&again));
-    assert!(findings(&worlds).iter().any(|d| d.contains("[dead-pipe]")));
 }
 
 #[test]

@@ -295,7 +295,7 @@ pub fn run_bench(config: &BenchConfig) -> io::Result<BenchReport> {
                 for i in 0..requests {
                     let (source, reference) = &corpus[(c * requests + i) % corpus.len()];
                     let t0 = Instant::now();
-                    let r = client::analyze(&cfg, source, &opts, false);
+                    let r = client::analyze(&cfg, source, &opts);
                     samples.push(t0.elapsed().as_nanos() as u64);
                     match &r.served {
                         Served::Daemon { cache_hit: true } => hits.fetch_add(1, Ordering::Relaxed),

@@ -44,13 +44,28 @@ pub struct KeyParts<'a> {
     pub source: &'a str,
     /// [`AnalysisOptions::canonical`] of the request options.
     pub options: &'a AnalysisOptions,
-    /// Strict (`analyze`) vs. recovering (`scan`) parsing — different
-    /// outputs, different entries.
+    /// Strict vs. recovering parsing — different outputs, different
+    /// entries. The daemon serves strict verdicts only; the LSP writes
+    /// recovering ones for a text that does not parse.
     pub resilient: bool,
     /// [`shoal_spec::SpecLibrary::fingerprint`] of the spec database.
     pub spec_fingerprint: u64,
     /// The shoal version string.
     pub version: &'a str,
+}
+
+impl<'a> KeyParts<'a> {
+    /// The key parts of a strict-parse verdict under this build's
+    /// version, as the daemon serves it.
+    pub fn strict(source: &'a str, options: &'a AnalysisOptions, spec_fingerprint: u64) -> Self {
+        KeyParts {
+            source,
+            options,
+            resilient: false,
+            spec_fingerprint,
+            version: crate::version(),
+        }
+    }
 }
 
 /// The 32-hex-digit content address of a request under the current

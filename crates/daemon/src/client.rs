@@ -1,14 +1,16 @@
 //! The thin JIT client: connect, auto-spawn, retry, or fall back.
 //!
-//! The degradation contract (carried over from the resilient-scan
-//! work): a client request **never loses a verdict**. If the daemon is
-//! reachable the verdict is served; if it is not, the client analyzes
-//! in-process through the very same [`crate::entry_from_report`]
-//! rendering the server uses, and the result is tagged
-//! [`Served::Fallback`] so callers (and machine consumers, via the
-//! `served` field in scan JSON and the stderr marker in `shoal jit`)
-//! can see which path ran. Stdout stays byte-identical either way —
-//! only the marker channel differs.
+//! `shoal jit` and the `bench-service` load generator are its callers;
+//! `shoal scan` and `shoal analyze` always analyze in-process.
+//!
+//! The degradation contract: a client request **never loses a
+//! verdict**. If the daemon is reachable the verdict is served; if it
+//! is not, the client analyzes in-process with the strict parser
+//! through the very same [`crate::entry_from_report`] rendering the
+//! server uses, and the result is tagged [`Served::Fallback`] so
+//! callers (and machine consumers, via the stderr marker of
+//! `shoal jit`) can see which path ran. Stdout stays byte-identical
+//! either way — only the marker channel differs.
 //!
 //! Failures are classified, not lumped: a **dead** socket (connection
 //! refused, no socket file) triggers reclaim-and-respawn at most once;
@@ -47,8 +49,8 @@ pub enum Served {
 }
 
 impl Served {
-    /// The machine-readable path marker (`daemon` / `local-fallback`)
-    /// used in scan JSON and the `shoal jit` stderr marker.
+    /// The machine-readable path marker (`daemon` / `local-fallback`),
+    /// as in the `shoal jit` stderr marker.
     pub fn marker(&self) -> &'static str {
         match self {
             Served::Daemon { .. } => "daemon",
@@ -174,10 +176,9 @@ pub fn analyze(
     config: &ClientConfig,
     source: &str,
     options: &AnalysisOptions,
-    resilient: bool,
 ) -> JitResponse {
     if options.profile {
-        return local(source, options, resilient, "profile-requested");
+        return local(source, options, "profile-requested");
     }
     // Mint the trace ID here, at the edge: the daemon echoes it back,
     // so the stderr marker, the server-side trace ring, and the JSONL
@@ -186,7 +187,6 @@ pub fn analyze(
     let req = Request::Analyze {
         source: source.to_string(),
         options: options.clone(),
-        resilient,
         trace_id: Some(trace_id.clone()),
     };
 
@@ -195,7 +195,7 @@ pub fn analyze(
     let mut attempt: u32 = 0;
     loop {
         match attempt_request(config, &req) {
-            Ok(json) => return interpret(json, source, options, resilient, &trace_id),
+            Ok(json) => return interpret(json, source, options, &trace_id),
             Err(Transport::Dead(reason)) => {
                 // Dead socket: reclaim by respawning, once. A second
                 // dead classification means the spawn did not help —
@@ -205,17 +205,17 @@ pub fn analyze(
                     match spawn_and_wait(config) {
                         Ok(()) => continue, // does not consume a retry
                         Err(spawn_reason) => {
-                            return local(source, options, resilient, &spawn_reason)
+                            return local(source, options, &spawn_reason)
                         }
                     }
                 }
-                return local(source, options, resilient, &reason);
+                return local(source, options, &reason);
             }
             Err(Transport::Busy(reason)) => {
                 // Transient: bounded retry with jittered exponential
                 // backoff, then fall back rather than block the caller.
                 if attempt >= config.retries {
-                    return local(source, options, resilient, &reason);
+                    return local(source, options, &reason);
                 }
                 shoal_obs::counter_add("jit.retry", 1);
                 std::thread::sleep(backoff_delay(config.retry_backoff, attempt, &mut rng));
@@ -347,7 +347,6 @@ fn interpret(
     json: Json,
     source: &str,
     options: &AnalysisOptions,
-    resilient: bool,
     sent_id: &str,
 ) -> JitResponse {
     let trace_id = json
@@ -361,7 +360,7 @@ fn interpret(
     }) == Some(true)
     {
         let Some(entry) = entry_from_response(&json) else {
-            return local(source, options, resilient, "malformed daemon response");
+            return local(source, options, "malformed daemon response");
         };
         let cache = json.get("cache").and_then(Json::as_str);
         let cache_hit = cache == Some("hit");
@@ -391,12 +390,7 @@ fn interpret(
                 .get("reason")
                 .and_then(Json::as_str)
                 .unwrap_or("overloaded");
-            local(
-                source,
-                options,
-                resilient,
-                &format!("daemon shed ({reason})"),
-            )
+            local(source, options, &format!("daemon shed ({reason})"))
         }
         // A strict-mode parse error is a *verdict* (the script does not
         // parse), not a transport failure — no point re-parsing locally.
@@ -412,7 +406,6 @@ fn interpret(
         other => local(
             source,
             options,
-            resilient,
             &format!("daemon error: {}", other.unwrap_or("unknown")),
         ),
     }
@@ -437,18 +430,11 @@ fn entry_from_response(json: &Json) -> Option<Entry> {
 
 /// The in-process path: same engine, same rendering, marked as
 /// fallback.
-fn local(source: &str, options: &AnalysisOptions, resilient: bool, reason: &str) -> JitResponse {
+fn local(source: &str, options: &AnalysisOptions, reason: &str) -> JitResponse {
     shoal_obs::counter_add("jit.fallback", 1);
-    let result = if resilient {
-        Ok(crate::entry_from_report(&shoal_core::analyze_source_resilient(
-            source,
-            options.clone(),
-        )))
-    } else {
-        match shoal_core::analyze_source_with(source, options.clone()) {
-            Ok(report) => Ok(crate::entry_from_report(&report)),
-            Err(e) => Err(e.to_string()),
-        }
+    let result = match shoal_core::analyze_source_with(source, options.clone()) {
+        Ok(report) => Ok(crate::entry_from_report(&report)),
+        Err(e) => Err(e.to_string()),
     };
     JitResponse {
         served: Served::Fallback {

@@ -10,7 +10,7 @@
 //! Requests:
 //!
 //! ```json
-//! {"schema":"shoal-jit/v1","op":"analyze","source":"…","resilient":false,
+//! {"schema":"shoal-jit/v1","op":"analyze","source":"…",
 //!  "options":{"loop_bound":2,"max_worlds":64,"stream_types":true,
 //!             "pruning":true,"fuel":null,"deadline_ms":null},
 //!  "trace_id":"00f1e2d3c4b5a697"}
@@ -50,8 +50,7 @@ pub const STATS_SCHEMA: &str = "shoal-stats/v1";
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Analyze `source` under `options`; `resilient` selects the
-    /// recovering parser (the `scan` entry point) over the strict one.
+    /// Analyze `source` under `options` with the strict parser.
     /// `trace_id` is minted by the client and echoed back in the
     /// response, linking the client's `served=` marker to the
     /// server-side trace. Optional on the wire (unknown fields are
@@ -60,7 +59,6 @@ pub enum Request {
     Analyze {
         source: String,
         options: AnalysisOptions,
-        resilient: bool,
         trace_id: Option<String>,
     },
     /// Report daemon liveness, uptime, and cache statistics.
@@ -132,12 +130,10 @@ impl Request {
             Request::Analyze {
                 source,
                 options,
-                resilient,
                 trace_id,
             } => {
                 fields.push(("op".into(), Json::Str("analyze".into())));
                 fields.push(("source".into(), Json::Str(source.clone())));
-                fields.push(("resilient".into(), Json::Bool(*resilient)));
                 fields.push(("options".into(), options_json(options)));
                 if let Some(id) = trace_id {
                     fields.push(("trace_id".into(), Json::Str(id.clone())));
@@ -169,7 +165,6 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("analyze request needs a string `source`")?
                     .to_string();
-                let resilient = matches!(json.get("resilient"), Some(Json::Bool(true)));
                 let options = json
                     .get("options")
                     .map(options_from_json)
@@ -181,7 +176,6 @@ impl Request {
                 Ok(Request::Analyze {
                     source,
                     options,
-                    resilient,
                     trace_id,
                 })
             }
@@ -208,13 +202,11 @@ mod tests {
                     max_worlds: 32,
                     ..AnalysisOptions::default()
                 },
-                resilient: true,
                 trace_id: Some("00f1e2d3c4b5a697".into()),
             },
             Request::Analyze {
                 source: "true\n".into(),
                 options: AnalysisOptions::default(),
-                resilient: false,
                 trace_id: None,
             },
             Request::Status,

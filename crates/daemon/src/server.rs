@@ -55,7 +55,7 @@
 use crate::cache::{cache_key, CacheStats, Entry, KeyParts, ResultCache};
 use crate::protocol::{Request, SCHEMA, STATS_SCHEMA};
 use crate::shield::{Boarding, FlightOutcome, FlightTable, Shield, ShieldConfig, ShieldStats};
-use shoal_core::{analyze_source_resilient, analyze_source_with, AnalysisOptions};
+use shoal_core::{analyze_source_with, AnalysisOptions};
 use shoal_obs::audit::CoverageMap;
 use shoal_obs::failpoint;
 use shoal_obs::frame::{read_frame, write_frame};
@@ -401,9 +401,8 @@ fn dispatch(payload: &[u8], state: &ServerState) -> Served {
         Request::Analyze {
             source,
             options,
-            resilient,
             trace_id,
-        } => handle_analyze(&source, &options, resilient, trace_id, state),
+        } => handle_analyze(&source, &options, trace_id, state),
         Request::Status => Served {
             response: handle_status(state),
             endpoint: "status",
@@ -434,17 +433,10 @@ fn dispatch(payload: &[u8], state: &ServerState) -> Served {
 fn handle_analyze(
     source: &str,
     options: &AnalysisOptions,
-    resilient: bool,
     trace_id: Option<String>,
     state: &ServerState,
 ) -> Served {
-    let key = cache_key(&KeyParts {
-        source,
-        options,
-        resilient,
-        spec_fingerprint: state.spec_fingerprint,
-        version: crate::version(),
-    });
+    let key = cache_key(&KeyParts::strict(source, options, state.spec_fingerprint));
 
     let cached = {
         let _t = trace::phase_timer("cache");
@@ -514,13 +506,7 @@ fn handle_analyze(
     let mut opts = options.clone();
     opts.audit = true;
     let src = source.to_string();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        if resilient {
-            Ok(analyze_source_resilient(&src, opts))
-        } else {
-            analyze_source_with(&src, opts)
-        }
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(move || analyze_source_with(&src, opts)));
     match outcome {
         Ok(Ok(mut report)) => {
             let coverage = report.coverage.take();

@@ -184,7 +184,7 @@ fn server_killed_mid_request_falls_back_with_the_correct_verdict() {
         // retries, exhausts, and must fall back — with the verdict
         // still byte-identical to a local run.
         let _armed = Armed::new("daemon::serve=panic");
-        let r = client::analyze(&cfg, source, &opts, false);
+        let r = client::analyze(&cfg, source, &opts);
         match &r.served {
             Served::Fallback { reason } => {
                 assert!(
@@ -200,7 +200,7 @@ fn server_killed_mid_request_falls_back_with_the_correct_verdict() {
     // Connection panics are isolated per thread: with the failpoint
     // disarmed the same daemon serves again, and the stats verb shows
     // it counted the carnage instead of dying from it.
-    let r = client::analyze(&cfg, source, &opts, false);
+    let r = client::analyze(&cfg, source, &opts);
     assert!(
         matches!(r.served, Served::Daemon { .. }),
         "daemon must survive its own connection panics: {:?}",
@@ -218,7 +218,7 @@ fn corrupt_disk_cache_entry_is_a_counted_miss_not_a_wrong_verdict() {
     let mut daemon = ChaosDaemon::start("corrupt", Shape::default());
     let base = daemon.base.clone();
     let cfg = daemon.client();
-    let r = client::analyze(&cfg, source, &opts, false);
+    let r = client::analyze(&cfg, source, &opts);
     assert_eq!(r.served, Served::Daemon { cache_hit: false });
     assert_verdict(&r, source);
     daemon.stop_and_join();
@@ -242,7 +242,7 @@ fn corrupt_disk_cache_entry_is_a_counted_miss_not_a_wrong_verdict() {
 
     let daemon = ChaosDaemon::start_at(base, Shape::default());
     let cfg = daemon.client();
-    let r = client::analyze(&cfg, source, &opts, false);
+    let r = client::analyze(&cfg, source, &opts);
     assert_eq!(
         r.served,
         Served::Daemon { cache_hit: false },
@@ -271,7 +271,7 @@ fn slow_daemon_past_client_timeout_falls_back_and_the_verdict_is_correct() {
         // client must answer locally rather than hang.
         let _armed = Armed::new("daemon::analyze=sleep(400)");
         let start = std::time::Instant::now();
-        let r = client::analyze(&cfg, source, &opts, false);
+        let r = client::analyze(&cfg, source, &opts);
         assert!(
             matches!(r.served, Served::Fallback { .. }),
             "a daemon slower than the request timeout must not be waited on: {:?}",
@@ -290,7 +290,7 @@ fn slow_daemon_past_client_timeout_falls_back_and_the_verdict_is_correct() {
     // hit, not a recompute.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let r = client::analyze(&cfg, source, &opts, false);
+        let r = client::analyze(&cfg, source, &opts);
         if r.served == (Served::Daemon { cache_hit: true }) {
             assert_verdict(&r, source);
             break;
@@ -321,7 +321,7 @@ fn truncated_response_frame_falls_back_then_hits_the_cache_once_healed() {
         // transient, retry, exhaust, and fall back — never parse a
         // partial payload into a verdict.
         let _armed = Armed::new("daemon::truncate-response=panic");
-        let r = client::analyze(&cfg, source, &opts, false);
+        let r = client::analyze(&cfg, source, &opts);
         assert!(
             matches!(r.served, Served::Fallback { .. }),
             "a torn frame must never be served as an answer: {:?}",
@@ -333,7 +333,7 @@ fn truncated_response_frame_falls_back_then_hits_the_cache_once_healed() {
     // The handler ran to completion before the write was sabotaged,
     // so the verdict was cached: the healed daemon serves the same
     // key warm and byte-identical.
-    let r = client::analyze(&cfg, source, &opts, false);
+    let r = client::analyze(&cfg, source, &opts);
     assert_eq!(
         r.served,
         Served::Daemon { cache_hit: true },
@@ -364,7 +364,7 @@ fn overloaded_daemon_sheds_and_the_client_answers_locally_at_once() {
     let hog = {
         let cfg = daemon.client();
         let opts = opts.clone();
-        std::thread::spawn(move || client::analyze(&cfg, hog_source, &opts, false))
+        std::thread::spawn(move || client::analyze(&cfg, hog_source, &opts))
     };
     daemon.wait_for_running(1);
 
@@ -373,7 +373,7 @@ fn overloaded_daemon_sheds_and_the_client_answers_locally_at_once() {
     // queue room. The shed must be immediate (no 600ms wait) and the
     // local answer correct.
     let start = std::time::Instant::now();
-    let r = client::analyze(&cfg, shed_source, &opts, false);
+    let r = client::analyze(&cfg, shed_source, &opts);
     match &r.served {
         Served::Fallback { reason } => assert!(
             reason.contains("daemon shed (queue-full)"),
@@ -425,7 +425,7 @@ fn duplicate_keys_coalesce_and_every_request_reconciles_exactly() {
     let leader = {
         let cfg = daemon.client();
         let opts = opts.clone();
-        std::thread::spawn(move || client::analyze(&cfg, shared, &opts, false))
+        std::thread::spawn(move || client::analyze(&cfg, shared, &opts))
     };
     daemon.wait_for_running(1);
 
@@ -436,11 +436,11 @@ fn duplicate_keys_coalesce_and_every_request_reconciles_exactly() {
         .map(|_| {
             let cfg = daemon.client();
             let opts = opts.clone();
-            std::thread::spawn(move || client::analyze(&cfg, shared, &opts, false))
+            std::thread::spawn(move || client::analyze(&cfg, shared, &opts))
         })
         .collect();
     std::thread::sleep(Duration::from_millis(50));
-    let shed = client::analyze(&daemon.client(), loner, &opts, false);
+    let shed = client::analyze(&daemon.client(), loner, &opts);
     match &shed.served {
         Served::Fallback { reason } => {
             assert!(reason.contains("daemon shed"), "{reason}")

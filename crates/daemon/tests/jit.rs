@@ -99,7 +99,7 @@ fn warm_hits_are_byte_identical_to_direct_analysis_across_figures() {
     for (name, source) in figures() {
         let reference = reference_body(source, &opts);
 
-        let cold = client::analyze(&cfg, source, &opts, false);
+        let cold = client::analyze(&cfg, source, &opts);
         assert_eq!(
             cold.served,
             Served::Daemon { cache_hit: false },
@@ -112,7 +112,7 @@ fn warm_hits_are_byte_identical_to_direct_analysis_across_figures() {
             "{name}: cold daemon verdict must match in-process bytes"
         );
 
-        let warm = client::analyze(&cfg, source, &opts, false);
+        let warm = client::analyze(&cfg, source, &opts);
         assert_eq!(
             warm.served,
             Served::Daemon { cache_hit: true },
@@ -137,14 +137,14 @@ fn every_key_component_invalidates_independently() {
     let script = shoal_corpus::figures::FIG1;
 
     // Prime the cache.
-    let first = client::analyze(&cfg, script, &opts, false);
+    let first = client::analyze(&cfg, script, &opts);
     assert_eq!(first.served, Served::Daemon { cache_hit: false });
-    let warm = client::analyze(&cfg, script, &opts, false);
+    let warm = client::analyze(&cfg, script, &opts);
     assert_eq!(warm.served, Served::Daemon { cache_hit: true });
 
     // 1. Script edit: even a trailing comment re-addresses the verdict.
     let edited = format!("{script}# touched\n");
-    let r = client::analyze(&cfg, &edited, &opts, false);
+    let r = client::analyze(&cfg, &edited, &opts);
     assert_eq!(
         r.served,
         Served::Daemon { cache_hit: false },
@@ -156,25 +156,17 @@ fn every_key_component_invalidates_independently() {
         max_worlds: 3,
         ..AnalysisOptions::default()
     };
-    let r = client::analyze(&cfg, script, &capped, false);
+    let r = client::analyze(&cfg, script, &capped);
     assert_eq!(
         r.served,
         Served::Daemon { cache_hit: false },
         "changed options must miss"
     );
     // ...and that narrower request is itself cached under its own key.
-    let r = client::analyze(&cfg, script, &capped, false);
+    let r = client::analyze(&cfg, script, &capped);
     assert_eq!(r.served, Served::Daemon { cache_hit: true });
 
-    // 3. Parse mode: resilient and strict verdicts are distinct.
-    let r = client::analyze(&cfg, script, &opts, true);
-    assert_eq!(
-        r.served,
-        Served::Daemon { cache_hit: false },
-        "resilient mode must not alias the strict entry"
-    );
-
-    // 4/5. Spec fingerprint and version live in the key itself: prove
+    // 3/4. Spec fingerprint and version live in the key itself: prove
     // re-addressing at the key level (the daemon pins both per
     // process, so the server-side test is the key function).
     let base = KeyParts {
@@ -210,7 +202,7 @@ fn unreachable_daemon_falls_back_in_process_with_marker() {
     };
     let opts = AnalysisOptions::default();
     let script = shoal_corpus::figures::FIG3;
-    let r = client::analyze(&cfg, script, &opts, false);
+    let r = client::analyze(&cfg, script, &opts);
     match &r.served {
         Served::Fallback { reason } => {
             assert!(!reason.is_empty(), "fallback must say why");
@@ -232,7 +224,7 @@ fn profiled_requests_bypass_the_daemon() {
         profile: true,
         ..AnalysisOptions::default()
     };
-    let r = client::analyze(&cfg, "echo hi\n", &opts, false);
+    let r = client::analyze(&cfg, "echo hi\n", &opts);
     assert_eq!(
         r.served,
         Served::Fallback {
@@ -246,11 +238,11 @@ fn profiled_requests_bypass_the_daemon() {
 fn strict_parse_errors_are_verdicts_not_fallbacks() {
     let daemon = TestDaemon::start("parse");
     let cfg = daemon.client();
-    let r = client::analyze(&cfg, "if then fi done", &AnalysisOptions::default(), false);
+    let r = client::analyze(&cfg, "if then fi done", &AnalysisOptions::default());
     assert_eq!(r.served, Served::Daemon { cache_hit: false });
     assert!(r.result.is_err(), "an unparsable script is a parse verdict");
     // And it is not cached: asking again re-parses (still a miss).
-    let r2 = client::analyze(&cfg, "if then fi done", &AnalysisOptions::default(), false);
+    let r2 = client::analyze(&cfg, "if then fi done", &AnalysisOptions::default());
     assert_eq!(r2.served, Served::Daemon { cache_hit: false });
 }
 
@@ -259,8 +251,8 @@ fn status_and_stop_control_path() {
     let daemon = TestDaemon::start("control");
     let cfg = daemon.client();
     let opts = AnalysisOptions::default();
-    client::analyze(&cfg, "echo one\n", &opts, false);
-    client::analyze(&cfg, "echo one\n", &opts, false);
+    client::analyze(&cfg, "echo one\n", &opts);
+    client::analyze(&cfg, "echo one\n", &opts);
 
     let status = client::status(&daemon.socket).expect("status answers");
     assert_eq!(status.get("ok"), Some(&Json::Bool(true)));
@@ -303,7 +295,7 @@ fn concurrent_clients_all_get_correct_verdicts() {
                 };
                 let (source, want) = &expected[i % expected.len()];
                 for _ in 0..4 {
-                    let r = client::analyze(&cfg, source, &AnalysisOptions::default(), false);
+                    let r = client::analyze(&cfg, source, &AnalysisOptions::default());
                     assert!(matches!(r.served, Served::Daemon { .. }));
                     assert_eq!(r.result.unwrap().body.to_text(), *want);
                 }
@@ -371,7 +363,7 @@ fn disk_tier_survives_daemon_restart() {
 
     let sock1 = base.join("d1.sock");
     let t1 = start(sock1.clone());
-    let first = client::analyze(&cfg_for(&sock1), script, &opts, false);
+    let first = client::analyze(&cfg_for(&sock1), script, &opts);
     assert_eq!(first.served, Served::Daemon { cache_hit: false });
     client::stop(&sock1).unwrap();
     t1.join().unwrap().unwrap();
@@ -380,7 +372,7 @@ fn disk_tier_survives_daemon_restart() {
     // dir serves the verdict warm, from disk.
     let sock2 = base.join("d2.sock");
     let t2 = start(sock2.clone());
-    let second = client::analyze(&cfg_for(&sock2), script, &opts, false);
+    let second = client::analyze(&cfg_for(&sock2), script, &opts);
     assert_eq!(
         second.served,
         Served::Daemon { cache_hit: true },

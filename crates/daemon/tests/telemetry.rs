@@ -110,7 +110,7 @@ fn trace_ids_round_trip_client_to_server_and_back() {
     let opts = AnalysisOptions::default();
 
     // Through the high-level client: the minted ID comes back.
-    let r = client::analyze(&cfg, "echo hi\n", &opts, false);
+    let r = client::analyze(&cfg, "echo hi\n", &opts);
     assert!(matches!(r.served, Served::Daemon { .. }));
     let id = r.trace_id.expect("daemon echoes the client-minted ID");
     assert_eq!(id.len(), 16, "trace IDs are 16 hex digits: {id}");
@@ -124,7 +124,6 @@ fn trace_ids_round_trip_client_to_server_and_back() {
         &Request::Analyze {
             source: "echo raw\n".into(),
             options: opts.clone(),
-            resilient: false,
             trace_id: Some(chosen.into()),
         },
     )
@@ -152,7 +151,7 @@ fn stats_reconcile_with_the_requests_made() {
     let scripts = ["echo a\n", "echo b\n", "echo c\n"];
     for script in scripts {
         for _ in 0..2 {
-            let r = client::analyze(&cfg, script, &opts, false);
+            let r = client::analyze(&cfg, script, &opts);
             assert!(matches!(r.served, Served::Daemon { .. }));
         }
     }
@@ -252,7 +251,7 @@ fn concurrent_clients_and_stats_readers_stay_consistent() {
             std::thread::spawn(move || {
                 for i in 0..6 {
                     let idx = (w + i) % scripts.len();
-                    let r = client::analyze(&cfg, scripts[idx], &opts, false);
+                    let r = client::analyze(&cfg, scripts[idx], &opts);
                     assert!(matches!(r.served, Served::Daemon { .. }));
                     let entry = r.result.expect("scripts parse");
                     assert_eq!(
@@ -303,7 +302,7 @@ fn stats_field_order_is_frozen_and_audit_reconciles_with_misses() {
     // script already folded when first computed), so the audit plane
     // must count exactly 2 scripts.
     for script in ["echo a\n", "frobnicate --all\n", "echo a\n"] {
-        let r = client::analyze(&cfg, script, &opts, false);
+        let r = client::analyze(&cfg, script, &opts);
         assert!(matches!(r.served, Served::Daemon { .. }));
     }
 
@@ -364,7 +363,7 @@ fn stop_flushes_the_trace_log_completely() {
     let opts = AnalysisOptions::default();
 
     for _ in 0..3 {
-        let r = client::analyze(&cfg, "echo flush\n", &opts, false);
+        let r = client::analyze(&cfg, "echo flush\n", &opts);
         assert!(matches!(r.served, Served::Daemon { .. }));
     }
     daemon.stop_and_join();

@@ -168,11 +168,8 @@ SCAN OPTIONS:
                                 (default 2000; 0 = unlimited)
     --jobs N                    worker threads for the batch
                                 (default 0 = available parallelism)
-    --daemon                    route per-script analysis through the
-                                JIT daemon (falls back in-process)
     --audit                     record coverage/precision-loss maps and
                                 append the fleet shoal-audit/v1 report
-                                (in-process only; rejects --daemon)
   scan walks directories for .sh / shell-shebang files, isolates each
   script's analysis against panics (retrying once with tightened
   budgets), and exits 0 = clean, 1 = findings, 3 = some scripts only
@@ -281,24 +278,13 @@ enum OutputFormat {
 }
 
 fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
-    // Subcommand-local flags: --format, --emit-world-tree, --daemon.
+    // Subcommand-local flags: --format, --emit-world-tree.
     let mut format = OutputFormat::Text;
     let mut tree_file: Option<String> = None;
-    let mut use_daemon = false;
-    let mut socket: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--daemon" => use_daemon = true,
-            "--socket" => {
-                i += 1;
-                let Some(s) = args.get(i) else {
-                    eprintln!("shoal analyze: --socket needs a path");
-                    return ExitCode::from(2);
-                };
-                socket = Some(s.clone());
-            }
             "--format" => {
                 i += 1;
                 format = match args.get(i).map(String::as_str) {
@@ -322,6 +308,10 @@ fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
                 };
                 tree_file = Some(f.clone());
             }
+            other if other.starts_with("--") => {
+                eprintln!("shoal analyze: unknown option {other:?}");
+                return ExitCode::from(2);
+            }
             p => paths.push(p.to_string()),
         }
         i += 1;
@@ -329,20 +319,6 @@ fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
     if paths.is_empty() {
         eprintln!("shoal analyze: no scripts given");
         return ExitCode::from(2);
-    }
-    if use_daemon {
-        // SARIF needs the full in-memory report (codeFlows walk the
-        // witness trails), and the world-tree emitter needs DOT — both
-        // beyond what the wire verdict carries.
-        if format == OutputFormat::Sarif {
-            eprintln!("shoal analyze: --daemon does not support --format sarif");
-            return ExitCode::from(2);
-        }
-        if tree_file.is_some() {
-            eprintln!("shoal analyze: --daemon does not support --emit-world-tree");
-            return ExitCode::from(2);
-        }
-        return jit_analyze(&paths, format, socket.as_deref(), true, None, None, obs);
     }
     let opts = shoal_core::AnalysisOptions {
         profile: obs.profile,
@@ -422,23 +398,10 @@ fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
 fn cmd_scan(args: &[String]) -> ExitCode {
     let mut opts = shoal_core::ScanOptions::default();
     let mut json = false;
-    let mut use_daemon = false;
-    let mut socket: Option<String> = None;
     let mut roots: Vec<std::path::PathBuf> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--daemon" => use_daemon = true,
-            "--socket" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => socket = Some(s.clone()),
-                    None => {
-                        eprintln!("shoal scan: --socket needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--audit" => opts.audit = true,
             "--format" => {
                 i += 1;
@@ -498,38 +461,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
         eprintln!("shoal scan: no paths given");
         return ExitCode::from(2);
     }
-    if opts.audit && use_daemon {
-        // Daemon-served results carry no coverage map (the wire body is
-        // the frozen report shape), so routing an audited scan through
-        // the daemon would silently hole the fleet fold.
-        eprintln!("shoal scan: --audit runs in-process; drop --daemon");
-        return ExitCode::from(2);
-    }
-    let summary = if use_daemon {
-        let cfg = client_config(socket.as_deref());
-        // Route each script through the daemon; a declined request
-        // (unreachable, error) returns None and the scan driver runs
-        // its usual shielded local path, marked `local-fallback`.
-        let remote = move |_path: &str,
-                           src: &str,
-                           aopts: &shoal_core::AnalysisOptions|
-              -> Option<shoal_core::RemoteReport> {
-            let r = shoal_daemon::client::analyze(&cfg, src, aopts, true);
-            match (&r.served, r.result) {
-                (shoal_daemon::client::Served::Daemon { .. }, Ok(entry)) => {
-                    Some(shoal_core::RemoteReport {
-                        body: entry.body,
-                        text: entry.text,
-                        findings: entry.findings,
-                    })
-                }
-                _ => None,
-            }
-        };
-        shoal_core::scan_paths_with(&roots, &opts, Some(&remote))
-    } else {
-        shoal_core::scan_paths(&roots, &opts)
-    };
+    let summary = shoal_core::scan_paths(&roots, &opts);
     if json {
         let doc = if opts.audit { summary.to_json_audited() } else { summary.to_json() };
         println!("{}", doc.to_text());
@@ -622,34 +554,22 @@ fn cmd_audit(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds a JIT client config from an optional `--socket` override.
-fn client_config(socket: Option<&str>) -> shoal_daemon::client::ClientConfig {
-    let mut cfg = shoal_daemon::client::ClientConfig::default();
-    if let Some(s) = socket {
-        cfg.socket = std::path::PathBuf::from(s);
-    }
-    cfg
-}
-
 /// `shoal jit SCRIPT...` — the thin just-in-time client: ask the
 /// daemon (auto-spawning one if needed), fall back in-process when
 /// unreachable. Stdout is byte-identical to `shoal analyze`; the path
 /// taken is reported on stderr.
 fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
     let mut format = OutputFormat::Text;
-    let mut socket: Option<String> = None;
-    let mut auto_spawn = true;
-    let mut request_timeout_ms: Option<u64> = None;
-    let mut retries: Option<u32> = None;
+    let mut cfg = shoal_daemon::client::ClientConfig::default();
     let mut paths: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--no-spawn" => auto_spawn = false,
+            "--no-spawn" => cfg.auto_spawn = false,
             "--request-timeout-ms" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => request_timeout_ms = Some(n),
+                    Some(n) if n > 0 => cfg.request_timeout = std::time::Duration::from_millis(n),
                     _ => {
                         eprintln!("shoal jit: --request-timeout-ms needs a positive number");
                         return ExitCode::from(2);
@@ -659,7 +579,7 @@ fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
             "--retries" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) => retries = Some(n),
+                    Some(n) => cfg.retries = n,
                     None => {
                         eprintln!("shoal jit: --retries needs a number (0 = no retries)");
                         return ExitCode::from(2);
@@ -669,7 +589,7 @@ fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
             "--socket" => {
                 i += 1;
                 match args.get(i) {
-                    Some(s) => socket = Some(s.clone()),
+                    Some(s) => cfg.socket = std::path::PathBuf::from(s),
                     None => {
                         eprintln!("shoal jit: --socket needs a path");
                         return ExitCode::from(2);
@@ -702,45 +622,13 @@ fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
         eprintln!("shoal jit: no scripts given");
         return ExitCode::from(2);
     }
-    jit_analyze(
-        &paths,
-        format,
-        socket.as_deref(),
-        auto_spawn,
-        request_timeout_ms,
-        retries,
-        obs,
-    )
-}
-
-/// The shared client loop behind `shoal jit` and
-/// `shoal analyze --daemon`: one request per script, `analyze`-shaped
-/// stdout, a `served=` marker per script on stderr.
-#[allow(clippy::too_many_arguments)]
-fn jit_analyze(
-    paths: &[String],
-    format: OutputFormat,
-    socket: Option<&str>,
-    auto_spawn: bool,
-    request_timeout_ms: Option<u64>,
-    retries: Option<u32>,
-    obs: &ObsFlags,
-) -> ExitCode {
-    let mut cfg = client_config(socket);
-    cfg.auto_spawn = auto_spawn;
-    if let Some(ms) = request_timeout_ms {
-        cfg.request_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(n) = retries {
-        cfg.retries = n;
-    }
     let opts = shoal_core::AnalysisOptions {
         profile: obs.profile,
         ..shoal_core::AnalysisOptions::default()
     };
     let mut worst = ExitCode::SUCCESS;
     let mut scripts: Vec<shoal_obs::json::Json> = Vec::new();
-    for path in paths {
+    for path in &paths {
         let src = match read_script(path) {
             Ok(s) => s,
             Err(e) => {
@@ -748,7 +636,7 @@ fn jit_analyze(
                 return ExitCode::from(2);
             }
         };
-        let r = shoal_daemon::client::analyze(&cfg, &src, &opts, false);
+        let r = shoal_daemon::client::analyze(&cfg, &src, &opts);
         // The machine-readable path marker: stdout stays identical to
         // a direct analyze, so the serving path lives on stderr.
         match &r.served {

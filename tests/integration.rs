@@ -9,6 +9,7 @@ use shoal::lint::lint_source;
 use shoal::miner::{evaluate_mined, mine_command};
 use shoal::monitor::{verify_source, Policy};
 use shoal::spec::SpecLibrary;
+use shoal_daemon::cache::KeyParts;
 use shoal_obs::json::Json;
 use std::io::Write;
 use std::path::Path;
@@ -276,6 +277,24 @@ fn subcommand_help_prints_the_usage() {
     }
 }
 
+/// `analyze` and `scan` run in-process only: `--daemon` is an unknown
+/// option there, as is any other, and neither is taken for a script
+/// path.
+#[test]
+fn analyze_and_scan_reject_unknown_options() {
+    for cmd in ["analyze", "scan"] {
+        for flag in ["--daemon", "--bogus"] {
+            let out = run_shoal(&[cmd, flag, "examples/fig1.sh"], &[], b"");
+            assert_eq!(out.status.code(), Some(2), "shoal {cmd} {flag}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("shoal {cmd}: unknown option \"{flag}\"")),
+                "shoal {cmd} {flag} printed {stderr:?}"
+            );
+        }
+    }
+}
+
 /// `shoal lsp` over stdio: initialize, didOpen Fig. 1, a didChange
 /// appending a comment, then a clean shutdown/exit. The server exits 0,
 /// publishes once per didOpen and per didChange, reports the
@@ -323,13 +342,9 @@ fn lsp_session_over_stdio() {
     }
 
     let entry = |text: &str| {
-        let key = shoal_daemon::cache::cache_key(&shoal_daemon::cache::KeyParts {
-            source: text,
-            options: &AnalysisOptions::default(),
-            resilient: false,
-            spec_fingerprint: SpecLibrary::builtin().fingerprint(),
-            version: shoal_daemon::version(),
-        });
+        let opts = AnalysisOptions::default();
+        let parts = KeyParts::strict(text, &opts, SpecLibrary::builtin().fingerprint());
+        let key = shoal_daemon::cache::cache_key(&parts);
         format!("{key}.json")
     };
     let mut entries: Vec<String> = std::fs::read_dir(&cache)
