@@ -11,7 +11,8 @@ use shoal_core::{analyze_source_with, AnalysisOptions};
 use shoal_daemon::client::{self, ClientConfig, Served};
 use shoal_daemon::server::{run, ServerConfig};
 use shoal_obs::bench::{bench, black_box, header};
-use std::time::Duration;
+use shoal_obs::LogHistogram;
+use std::time::{Duration, Instant};
 
 fn main() {
     header("daemon_jit");
@@ -67,50 +68,61 @@ fn main() {
         black_box(client::status(&socket).expect("daemon answers"));
     });
 
-    // Service-level percentiles under concurrent closed-loop load —
-    // the multi-tenant numbers (p50/p95/p99 per request, 4 clients)
-    // the roadmap asks to keep on record. The first run primes the
-    // cache and is discarded: the recorded tail then measures
+    // Service-level percentiles under concurrent closed-loop load:
+    // 4 client threads, each issuing 25 requests over the figures and
+    // waiting for every answer before sending the next. Every figure
+    // is primed into the cache first, so the recorded tail measures
     // steady-state serving (wire + lookup + contention), not the
     // analysis cost of cold misses, which `jit/local_*` already
-    // tracks and which would make p99 too noisy to gate. Printed in
-    // the same `ns/iter` line format, so bench_trajectory.sh folds
-    // them into BENCH_daemon.json next to the single-client cases.
-    let shape = shoal_daemon::bench_service::BenchConfig {
-        clients: 4,
-        requests: 25,
-        socket: Some(socket.clone()),
-        overload: false,
-    };
-    shoal_daemon::bench_service::run_bench(&shape).expect("bench-service priming run");
-    let report = shoal_daemon::bench_service::run_bench(&shape).expect("bench-service load run");
-    assert_eq!(report.fallbacks, 0, "bench daemon must stay reachable");
-    assert_eq!(report.mismatches, 0, "served verdicts must match local");
-    assert_eq!(report.misses, 0, "primed corpus must serve warm");
-    print!("{}", report.render_bench_lines());
+    // tracks. Printed in the same `ns/iter` line format, so
+    // bench_trajectory.sh folds them into BENCH_daemon.json next to
+    // the single-client cases.
+    let figures: Vec<&'static str> = shoal_corpus::figures::all()
+        .into_iter()
+        .map(|(_, source)| source)
+        .collect();
+    for source in &figures {
+        client::analyze(&cfg, source, &opts);
+    }
+    let (clients, requests) = (4, 25);
+    let threads: Vec<_> = (0..clients)
+        .map(|c| {
+            let (cfg, opts, figures) = (cfg.clone(), opts.clone(), figures.clone());
+            std::thread::spawn(move || {
+                let mut samples = Vec::with_capacity(requests);
+                for i in 0..requests {
+                    let source = figures[(c * requests + i) % figures.len()];
+                    let t0 = Instant::now();
+                    let r = client::analyze(&cfg, source, &opts);
+                    samples.push(t0.elapsed().as_nanos() as u64);
+                    assert_eq!(
+                        r.served,
+                        Served::Daemon { cache_hit: true },
+                        "primed figures serve warm"
+                    );
+                }
+                samples
+            })
+        })
+        .collect();
+    let mut latency_ns = LogHistogram::default();
+    for t in threads {
+        for ns in t.join().expect("load client thread") {
+            latency_ns.record(ns);
+        }
+    }
+    for (name, ns) in [
+        ("service/analyze_p50", latency_ns.p50()),
+        ("service/analyze_p95", latency_ns.p95()),
+        ("service/analyze_p99", latency_ns.p99()),
+    ] {
+        println!(
+            "{name:<44} {:>12.1} ns/iter (service percentile)",
+            ns as f64
+        );
+    }
 
     client::stop(&socket).expect("daemon stops");
     server.join().expect("server thread").expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&base);
-
-    // Overload shape: a private tiny daemon (1 slot, 2-deep queue)
-    // under 8 closed-loop clients. Only the shed/coalesced *rate*
-    // keys are printed — the percentile keys under a deliberately
-    // starved daemon would poison the min-keeping harvest of the
-    // steady-state numbers above. Rates are informational (skipped by
-    // the regression cap), but their presence is gated so the
-    // overload plane cannot silently disappear.
-    let overload = shoal_daemon::bench_service::BenchConfig {
-        clients: 8,
-        requests: 10,
-        socket: None,
-        overload: true,
-    };
-    let report =
-        shoal_daemon::bench_service::run_bench(&overload).expect("bench-service overload run");
-    assert_eq!(
-        report.mismatches, 0,
-        "every overload verdict (served, coalesced, or shed-then-local) must match local"
-    );
-    print!("{}", report.render_overload_bench_lines());
 }

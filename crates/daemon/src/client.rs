@@ -1,7 +1,7 @@
 //! The thin JIT client: connect, auto-spawn, retry, or fall back.
 //!
-//! `shoal jit` and the `bench-service` load generator are its callers;
-//! `shoal scan` and `shoal analyze` always analyze in-process.
+//! `shoal jit` is its only caller; `shoal scan` and `shoal analyze`
+//! always analyze in-process.
 //!
 //! The degradation contract: a client request **never loses a
 //! verdict**. If the daemon is reachable the verdict is served; if it
@@ -46,17 +46,6 @@ pub enum Served {
     /// The daemon was unreachable (or the request is daemon-unservable,
     /// e.g. profiled); analysis ran in-process. `reason` says why.
     Fallback { reason: String },
-}
-
-impl Served {
-    /// The machine-readable path marker (`daemon` / `local-fallback`),
-    /// as in the `shoal jit` stderr marker.
-    pub fn marker(&self) -> &'static str {
-        match self {
-            Served::Daemon { .. } => "daemon",
-            Served::Fallback { .. } => "local-fallback",
-        }
-    }
 }
 
 /// One JIT analysis outcome.

@@ -13,7 +13,8 @@
 //! exact serialized report body the batch engine produced, so
 //! `shoal jit --format json` is byte-identical to
 //! `shoal analyze --format json` (asserted across the figure corpus in
-//! this crate's tests and the CI smoke gate).
+//! this crate's tests and, through the real binary, in the root
+//! package's integration tests).
 //!
 //! Layout:
 //!
@@ -28,11 +29,12 @@
 //!   engine runs rationed by the shield, tracing every request into
 //!   the telemetry plane,
 //! * [`client`] — connect / auto-spawn / retry with jittered backoff /
-//!   fall back, minting the trace IDs the server echoes,
-//! * [`bench_service`] — the closed-loop load generator behind
-//!   `shoal bench-service` (including the `--overload` mode).
+//!   fall back, minting the trace IDs the server echoes.
+//!
+//! `shoal jit` is the daemon's only client. The crate ships no load
+//! generator; the `daemon_jit` bench in `crates/bench` times the
+//! serving paths, including 4 concurrent clients.
 
-pub mod bench_service;
 pub mod cache;
 pub mod client;
 pub mod protocol;

@@ -54,7 +54,7 @@
 
 use crate::cache::{cache_key, CacheStats, Entry, KeyParts, ResultCache};
 use crate::protocol::{Request, SCHEMA, STATS_SCHEMA};
-use crate::shield::{Boarding, FlightOutcome, FlightTable, Shield, ShieldConfig, ShieldStats};
+use crate::shield::{Boarding, FlightOutcome, FlightTable, Shield, ShieldStats};
 use shoal_core::{analyze_source_with, AnalysisOptions};
 use shoal_obs::audit::CoverageMap;
 use shoal_obs::failpoint;
@@ -72,7 +72,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Server configuration; see [`run`].
+/// Server configuration; see [`run`]. [`ServerConfig::default`] is the
+/// one place the daemon's defaults are written down: `shoal daemon`
+/// starts from it and overrides only the flags it was given.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Socket path to bind.
@@ -201,10 +203,9 @@ struct ServerState {
 pub fn run(config: ServerConfig) -> io::Result<()> {
     let listener = bind_recovering(&config.socket)?;
     let spec_fingerprint = shoal_spec::SpecLibrary::builtin().fingerprint();
-    let concurrency = if config.jobs == 0 {
-        ShieldConfig::default().concurrency
-    } else {
-        config.jobs
+    let concurrency = match config.jobs {
+        0 => shoal_obs::pool::available_parallelism(),
+        n => n,
     };
     let state = Arc::new(ServerState {
         cache: Mutex::new(ResultCache::new(
@@ -213,11 +214,7 @@ pub fn run(config: ServerConfig) -> io::Result<()> {
             config.cache_disk_bytes,
         )),
         telemetry: Mutex::new(Telemetry::new(config.trace_ring, &config.trace_log)),
-        shield: Shield::new(ShieldConfig {
-            concurrency,
-            queue_depth: config.queue_depth,
-            queue_wait: config.queue_wait,
-        }),
+        shield: Shield::new(concurrency, config.queue_depth, config.queue_wait),
         flights: FlightTable::new(),
         spec_fingerprint,
         started: Instant::now(),

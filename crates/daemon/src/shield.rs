@@ -51,30 +51,6 @@ impl ShedReason {
     }
 }
 
-/// Admission-gate configuration.
-#[derive(Debug, Clone)]
-pub struct ShieldConfig {
-    /// Concurrent analyses allowed (≥ 1).
-    pub concurrency: usize,
-    /// Requests allowed to wait for a slot; an arrival past this is
-    /// shed `queue-full` immediately.
-    pub queue_depth: usize,
-    /// Ceiling on how long one request may wait for a slot.
-    pub queue_wait: Duration,
-}
-
-impl Default for ShieldConfig {
-    fn default() -> Self {
-        ShieldConfig {
-            concurrency: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            queue_depth: 256,
-            queue_wait: Duration::from_secs(2),
-        }
-    }
-}
-
 /// Mutable gate state (guarded by [`Shield::gate`]).
 #[derive(Debug, Default)]
 struct Gate {
@@ -122,13 +98,16 @@ pub struct Shield {
 }
 
 impl Shield {
-    pub fn new(config: ShieldConfig) -> Shield {
+    /// A gate admitting `concurrency` analyses at once (at least 1),
+    /// letting up to `queue_depth` more wait at most `queue_wait` each;
+    /// the daemon's defaults live in [`crate::server::ServerConfig`].
+    pub fn new(concurrency: usize, queue_depth: usize, queue_wait: Duration) -> Shield {
         Shield {
             gate: Mutex::new(Gate::default()),
             free: Condvar::new(),
-            concurrency: config.concurrency.max(1),
-            queue_depth: config.queue_depth,
-            queue_wait: config.queue_wait,
+            concurrency: concurrency.max(1),
+            queue_depth,
+            queue_wait,
             admitted: AtomicU64::new(0),
             shed_queue_full: AtomicU64::new(0),
             shed_queue_timeout: AtomicU64::new(0),
@@ -378,11 +357,7 @@ mod tests {
 
     #[test]
     fn admits_up_to_concurrency_then_queues() {
-        let shield = Shield::new(ShieldConfig {
-            concurrency: 2,
-            queue_depth: 4,
-            queue_wait: Duration::from_millis(200),
-        });
+        let shield = Shield::new(2, 4, Duration::from_millis(200));
         let a = shield.admit(None).expect("slot 1");
         let b = shield.admit(None).expect("slot 2");
         assert_eq!(shield.stats().running, 2);
@@ -398,11 +373,7 @@ mod tests {
 
     #[test]
     fn sheds_queue_full_when_queue_is_at_capacity() {
-        let shield = Shield::new(ShieldConfig {
-            concurrency: 1,
-            queue_depth: 0,
-            queue_wait: Duration::from_secs(5),
-        });
+        let shield = Shield::new(1, 0, Duration::from_secs(5));
         let _slot = shield.admit(None).expect("slot");
         // queue_depth 0: nobody may wait, so the second admit sheds
         // immediately rather than blocking for queue_wait.
@@ -415,11 +386,7 @@ mod tests {
 
     #[test]
     fn sheds_queue_timeout_and_deadline_budget_caps_the_wait() {
-        let shield = Shield::new(ShieldConfig {
-            concurrency: 1,
-            queue_depth: 4,
-            queue_wait: Duration::from_secs(30),
-        });
+        let shield = Shield::new(1, 4, Duration::from_secs(30));
         let _slot = shield.admit(None).expect("slot");
         // The request's own deadline budget (10ms) is far below the
         // configured queue wait (30s): the wait must honor the smaller.
@@ -436,11 +403,7 @@ mod tests {
 
     #[test]
     fn queued_waiter_claims_a_freed_slot() {
-        let shield = Arc::new(Shield::new(ShieldConfig {
-            concurrency: 1,
-            queue_depth: 4,
-            queue_wait: Duration::from_secs(10),
-        }));
+        let shield = Arc::new(Shield::new(1, 4, Duration::from_secs(10)));
         let slot = shield.admit(None).expect("slot");
         let waiter = {
             let shield = Arc::clone(&shield);

@@ -209,7 +209,7 @@ fn unreachable_daemon_falls_back_in_process_with_marker() {
         }
         other => panic!("expected fallback, got {other:?}"),
     }
-    assert_eq!(r.served.marker(), "local-fallback");
+    assert!(matches!(r.served, Served::Fallback { .. }));
     // The verdict itself is never lost — and it is the same bytes the
     // daemon would have served.
     let entry = r.result.expect("figure scripts parse");

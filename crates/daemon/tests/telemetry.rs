@@ -1,12 +1,11 @@
 //! End-to-end tests for the daemon's telemetry plane: trace-ID
 //! round-trips over the real socket, `stats` reconciliation against
 //! the requests actually made, counter monotonicity under concurrent
-//! load, the shutdown JSONL flush, the pinned slow-request rendering,
-//! and the bench-service load generator.
+//! load, the shutdown JSONL flush, and the pinned slow-request
+//! rendering.
 
 use shoal_core::provenance::report_body_fields;
 use shoal_core::{analyze_source_with, AnalysisOptions};
-use shoal_daemon::bench_service::{run_bench, BenchConfig};
 use shoal_daemon::client::{self, ClientConfig, Served};
 use shoal_daemon::protocol::{Request, STATS_SCHEMA};
 use shoal_daemon::server::{run, ServerConfig};
@@ -437,31 +436,4 @@ fn slow_request_rendering_matches_the_golden_file() {
     // And the JSONL form round-trips to the same rendering.
     let back = Trace::from_json(&Json::parse(&trace.to_json().to_text()).unwrap()).unwrap();
     assert_eq!(back.render_text(), golden);
-}
-
-#[test]
-fn bench_service_smoke() {
-    let report = run_bench(&BenchConfig {
-        clients: 2,
-        requests: 3,
-        socket: None,
-        overload: false,
-    })
-    .expect("bench-service runs against a private daemon");
-    assert_eq!(report.total, 6);
-    assert_eq!(report.fallbacks, 0, "private daemon must be reachable");
-    assert_eq!(
-        report.mismatches, 0,
-        "served verdicts must match local analysis"
-    );
-    assert!(report.latency_ns.p50() <= report.latency_ns.p99());
-    let lines = report.render_bench_lines();
-    for key in [
-        "service/analyze_p50",
-        "service/analyze_p95",
-        "service/analyze_p99",
-    ] {
-        assert!(lines.contains(key), "bench lines must carry {key}: {lines}");
-    }
-    assert!(lines.contains("ns/iter"), "{lines}");
 }

@@ -8,20 +8,28 @@
 use crate::sig::Sig;
 use shoal_relang::Regex;
 use shoal_spec::Invocation;
+use std::sync::LazyLock;
 
 /// The bound of `sort -g` (general numeric): lines beginning with an
 /// optionally-signed decimal, a `0x` hexadecimal, or empty lines (which
 /// `sort -g` treats as zero). This is the paper's
 /// `∀α ⊆ 0x[0-9a-f]+.*` example generalized to what `-g` really accepts.
 pub fn sort_g_bound() -> Regex {
-    Regex::parse(r"([-+]?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?.*|0[xX][0-9a-fA-F]+.*)?")
-        .expect("builtin pattern")
+    SORT_G_BOUND.clone()
 }
 
 /// The bound of `sort -n` (decimal numeric prefix or blank).
 pub fn sort_n_bound() -> Regex {
-    Regex::parse(r"( *[-+]?[0-9]+(\.[0-9]*)?.*)?").expect("builtin pattern")
+    SORT_N_BOUND.clone()
 }
+
+// Parsed once per process, as `core::langs` does for the engine's
+// constant languages.
+static SORT_G_BOUND: LazyLock<Regex> = LazyLock::new(|| {
+    Regex::parse_must(r"([-+]?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?.*|0[xX][0-9a-fA-F]+.*)?")
+});
+static SORT_N_BOUND: LazyLock<Regex> =
+    LazyLock::new(|| Regex::parse_must(r"( *[-+]?[0-9]+(\.[0-9]*)?.*)?"));
 
 /// Derives the stream signature of one filter invocation, if the command
 /// is a known filter. Returns `None` for non-filters (their stdout comes

@@ -84,11 +84,7 @@ read_json() {
 # cases (service/..._p95, _p99) get a looser 2.0x gate: a p99 over a
 # ~100-request closed loop is a max-like order statistic, so a single
 # preempted request moves it on its own — it stays on record for the
-# trajectory, but only a gross regression fails the check. `_rate`
-# cases (the overload shed/coalesced rates) are not durations at all —
-# they count scheduling outcomes per 1000 requests under a
-# deliberately starved daemon, so they swing with machine load and are
-# kept on record purely as a trajectory; they never fail the gate.
+# trajectory, but only a gross regression fails the check.
 check_suite() {
     baseline="$1"
     fresh="$2"
@@ -99,10 +95,6 @@ check_suite() {
     read_json "$baseline" | sort > /tmp/bench_base.$$
     sort "$fresh" > /tmp/bench_fresh.$$
     join /tmp/bench_base.$$ /tmp/bench_fresh.$$ | awk -v limit=1.3 -v tail_limit=2.0 '
-        $1 ~ /_rate$/ {
-            printf "  %-44s %12.1f -> %12.1f per-1000 (info only)\n", $1, $2, $3
-            next
-        }
         {
             cap = ($1 ~ /_p9[59]$/) ? tail_limit : limit
             ratio = ($2 > 0) ? $3 / $2 : 1
@@ -145,8 +137,7 @@ check)
     # `join` only compares keys both sides have, so a baseline that
     # silently lost the service percentiles would still pass the gate
     # above — assert their presence explicitly.
-    for key in service/analyze_p50 service/analyze_p99 \
-               service/overload_shed_rate service/overload_coalesced_rate; do
+    for key in service/analyze_p50 service/analyze_p99; do
         grep -q "\"$key\"" BENCH_daemon.json \
             || { echo "  MISSING $key in BENCH_daemon.json" >&2; fail=1; }
     done

@@ -80,60 +80,9 @@ if [ "${dfa_cap_losses:-0}" -gt 0 ]; then
     exit 1
 fi
 
-# JIT daemon smoke gate: start a daemon on a temp socket, serve the
-# same script cold then warm, and require both byte-identical to a
-# direct `shoal analyze --format json`; validate the telemetry plane
-# (trace IDs on the markers, shoal-stats/v1 from `status --format
-# json`, a rendering `daemon top`); then stop the daemon and require a
-# clean shutdown (socket unlinked, exit 0).
-echo "==> daemon: cold/warm serve + byte-equality + telemetry + clean shutdown"
-jit_dir=/tmp/shoal-ci-jit.$$
-rm -rf "$jit_dir"
-mkdir -p "$jit_dir"
-jit_sock="$jit_dir/daemon.sock"
-cat > "$jit_dir/fig.sh" <<'EOF'
-#!/bin/sh
-STEAMROOT="$(cd "${0%/*}" && echo $PWD)"
-rm -rf "$STEAMROOT/"*
-EOF
-target/release/shoal daemon --socket "$jit_sock" --cache-dir "$jit_dir/cache" &
-jit_pid=$!
-n=0
-while [ ! -S "$jit_sock" ] && [ "$n" -lt 100 ]; do sleep 0.05; n=$((n + 1)); done
-jit_fail=0
-target/release/shoal analyze "$jit_dir/fig.sh" --format json > "$jit_dir/direct.json" || true
-target/release/shoal jit --socket "$jit_sock" --no-spawn --format json "$jit_dir/fig.sh" \
-    > "$jit_dir/cold.json" 2> "$jit_dir/cold.err" || true
-target/release/shoal jit --socket "$jit_sock" --no-spawn --format json "$jit_dir/fig.sh" \
-    > "$jit_dir/warm.json" 2> "$jit_dir/warm.err" || true
-cmp -s "$jit_dir/direct.json" "$jit_dir/cold.json" || { echo "FAIL: cold jit differs from direct analyze"; jit_fail=1; }
-cmp -s "$jit_dir/direct.json" "$jit_dir/warm.json" || { echo "FAIL: warm jit differs from direct analyze"; jit_fail=1; }
-grep -q "served=daemon cache=miss" "$jit_dir/cold.err" || { echo "FAIL: cold request was not a served miss"; jit_fail=1; }
-grep -q "served=daemon cache=hit" "$jit_dir/warm.err" || { echo "FAIL: warm request was not a served hit"; jit_fail=1; }
-grep -Eq "served=daemon cache=miss trace=[0-9a-f]{16}" "$jit_dir/cold.err" || { echo "FAIL: cold marker carries no trace id"; jit_fail=1; }
-# Telemetry plane: `status --format json` is the shoal-stats/v1
-# snapshot, with percentile-bearing latency histograms and the cache
-# outcome taxonomy; `daemon top` renders the same snapshot.
-target/release/shoal daemon status --format json --socket "$jit_sock" > "$jit_dir/stats.json" || { echo "FAIL: daemon status --format json"; jit_fail=1; }
-grep -q '"schema":"shoal-stats/v1"' "$jit_dir/stats.json" || { echo "FAIL: stats snapshot is not shoal-stats/v1"; jit_fail=1; }
-grep -q '"analyze.hit"' "$jit_dir/stats.json" || { echo "FAIL: stats carries no analyze.hit counter"; jit_fail=1; }
-grep -q '"p99"' "$jit_dir/stats.json" || { echo "FAIL: stats carries no p99 percentile"; jit_fail=1; }
-grep -q '"corrupt_misses"' "$jit_dir/stats.json" || { echo "FAIL: stats carries no cache outcome taxonomy"; jit_fail=1; }
-grep -q '"analyzed_scripts"' "$jit_dir/stats.json" || { echo "FAIL: stats carries no audit block"; jit_fail=1; }
-grep -q '"shield"' "$jit_dir/stats.json" || { echo "FAIL: stats carries no shield block"; jit_fail=1; }
-grep -q '"queue_highwater"' "$jit_dir/stats.json" || { echo "FAIL: shield block carries no queue highwater"; jit_fail=1; }
-target/release/shoal daemon top --socket "$jit_sock" > "$jit_dir/top.txt" || { echo "FAIL: daemon top"; jit_fail=1; }
-grep -q "^requests:" "$jit_dir/top.txt" || { echo "FAIL: daemon top shows no request table"; jit_fail=1; }
-grep -q "^cache:" "$jit_dir/top.txt" || { echo "FAIL: daemon top shows no cache line"; jit_fail=1; }
-grep -q "^audit:" "$jit_dir/top.txt" || { echo "FAIL: daemon top shows no audit line"; jit_fail=1; }
-grep -q "^shield:" "$jit_dir/top.txt" || { echo "FAIL: daemon top shows no shield line"; jit_fail=1; }
-target/release/shoal daemon stop --socket "$jit_sock" || { echo "FAIL: daemon stop"; jit_fail=1; }
-if ! wait "$jit_pid"; then echo "FAIL: daemon exited non-zero"; jit_fail=1; fi
-[ ! -e "$jit_sock" ] || { echo "FAIL: daemon left its socket behind"; jit_fail=1; }
-rm -rf "$jit_dir"
-if [ "$jit_fail" = 1 ]; then
-    exit 1
-fi
+# The JIT daemon smoke gate (cold/warm serve, byte-equality with
+# `shoal analyze`, telemetry, clean shutdown) runs in `cargo test` as
+# tests/integration.rs::jit_daemon_serves_cold_and_warm_then_stops_cleanly.
 
 # Chaos gate: the degradation contract under injected faults, driven
 # through the real binaries. Three scenarios — a daemon slower than
@@ -227,28 +176,6 @@ rm -rf "$chaos_dir"
 if [ "$chaos_fail" = 1 ]; then
     exit 1
 fi
-
-# Service load smoke: a short closed-loop bench-service run against a
-# private daemon must complete with zero verdict mismatches (exit 0)
-# and emit the percentile keys BENCH_daemon.json records; the overload
-# shape must emit its shed/coalesced rate keys the same way.
-echo "==> daemon: bench-service smoke (2 clients x 3 requests, + overload shape)"
-bench_out=/tmp/shoal-ci-bench.$$
-target/release/shoal bench-service --clients 2 --requests 3 --format bench > "$bench_out" \
-    || { echo "FAIL: bench-service run (verdict mismatch or daemon failure)"; rm -f "$bench_out"; exit 1; }
-for key in service/analyze_p50 service/analyze_p99; do
-    grep -q "$key" "$bench_out" || { echo "FAIL: bench-service emitted no $key"; rm -f "$bench_out"; exit 1; }
-done
-target/release/shoal bench-service --clients 4 --requests 5 --overload --format bench > "$bench_out" \
-    || { echo "FAIL: bench-service --overload run (verdict mismatch under overload)"; rm -f "$bench_out"; exit 1; }
-for key in service/overload_shed_rate service/overload_coalesced_rate; do
-    grep -q "$key" "$bench_out" || { echo "FAIL: bench-service --overload emitted no $key"; rm -f "$bench_out"; exit 1; }
-done
-rm -f "$bench_out"
-for key in service/analyze_p50 service/analyze_p99 service/overload_shed_rate service/overload_coalesced_rate; do
-    grep -q "\"$key\"" BENCH_daemon.json \
-        || { echo "FAIL: BENCH_daemon.json carries no $key baseline"; exit 1; }
-done
 
 # Mutation fuzzing at CI depth (the default in-test depth is 96 cases;
 # everything is offline and deterministic).

@@ -50,7 +50,6 @@ fn main() -> ExitCode {
         "audit" => cmd_audit(rest),
         "daemon" => cmd_daemon(rest),
         "lsp" => cmd_lsp(rest),
-        "bench-service" => cmd_bench_service(rest),
         "jit" => cmd_jit(rest, &obs),
         "lint" => cmd_lint(rest),
         "typecheck" => cmd_typecheck(rest),
@@ -144,7 +143,6 @@ USAGE:
     shoal daemon [stop|status|top]     run / control the resident analyzer
     shoal lsp                          language server over stdio (editor
                                        integration; incremental engine)
-    shoal bench-service                closed-loop load test of the daemon
     shoal lint SCRIPT...               syntactic baseline linter
     shoal typecheck 'CMD | CMD | ...'  stream-type a pipeline
     shoal mine COMMAND...              mine specs from docs + probing
@@ -231,25 +229,6 @@ JIT / DAEMON OPTIONS:
   daemon sheds requests with a structured reason instead of stalling;
   the client falls back locally at once
   (`served=local-fallback (daemon shed (queue-full))`).
-
-BENCH-SERVICE OPTIONS:
-    --clients N                 concurrent client threads (default 4)
-    --requests N                requests per client (default 25)
-    --socket PATH               target a running daemon (default:
-                                spawn a private cold-cache daemon)
-    --overload                  start the private daemon tiny (1 slot,
-                                2-deep queue, 50ms wait) so the run
-                                exercises shed + coalesce paths
-    --format text|json|bench    output: human summary, a
-                                shoal-bench-service/v1 document, or
-                                shoal-bench/v1 `ns/iter` lines
-                                (service/analyze_p50|p95|p99; with
-                                --overload, the shed/coalesced rates)
-  bench-service drives K closed-loop clients over the real socket with
-  a deterministic figure-corpus workload, checks every served verdict
-  against local analysis, and reports latency percentiles. Every
-  verdict — served, coalesced, or shed-then-local — must match the
-  local reference byte-for-byte (mismatches fail the run).
 
 OBSERVABILITY (any subcommand):
     --stats           print a counters/gauges/histograms table on exit
@@ -745,16 +724,12 @@ fn cmd_lsp(args: &[String]) -> ExitCode {
 }
 
 fn cmd_daemon(args: &[String]) -> ExitCode {
+    use std::path::PathBuf;
+    // Every default (socket, cache, slots, queue) comes from
+    // `ServerConfig::default()`; the flags override fields of it.
+    let mut config = shoal_daemon::server::ServerConfig::default();
     let mut action: Option<&str> = None;
-    let mut socket: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
     let mut no_disk = false;
-    let mut cache_capacity: usize = 512;
-    let mut cache_disk_bytes: Option<u64> = None;
-    let mut jobs: usize = 0;
-    let mut queue_depth: usize = 256;
-    let mut queue_wait_ms: u64 = 2_000;
-    let mut trace_log: Option<String> = None;
     let mut status_json = false;
     let mut i = 0;
     while i < args.len() {
@@ -777,7 +752,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--trace-log" => {
                 i += 1;
                 match args.get(i) {
-                    Some(s) => trace_log = Some(s.clone()),
+                    Some(s) => config.trace_log = Some(PathBuf::from(s)),
                     None => {
                         eprintln!("shoal daemon: --trace-log needs an output file (.jsonl)");
                         return ExitCode::from(2);
@@ -787,7 +762,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--socket" => {
                 i += 1;
                 match args.get(i) {
-                    Some(s) => socket = Some(s.clone()),
+                    Some(s) => config.socket = PathBuf::from(s),
                     None => {
                         eprintln!("shoal daemon: --socket needs a path");
                         return ExitCode::from(2);
@@ -797,7 +772,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--cache-dir" => {
                 i += 1;
                 match args.get(i) {
-                    Some(s) => cache_dir = Some(s.clone()),
+                    Some(s) => config.cache_dir = Some(PathBuf::from(s)),
                     None => {
                         eprintln!("shoal daemon: --cache-dir needs a directory");
                         return ExitCode::from(2);
@@ -808,7 +783,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--cache-capacity" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => cache_capacity = n,
+                    Some(n) => config.cache_capacity = n,
                     None => {
                         eprintln!("shoal daemon: --cache-capacity needs a number");
                         return ExitCode::from(2);
@@ -818,7 +793,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--jobs" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => jobs = n,
+                    Some(n) => config.jobs = n,
                     None => {
                         eprintln!("shoal daemon: --jobs needs a number (0 = auto)");
                         return ExitCode::from(2);
@@ -828,7 +803,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--queue-depth" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => queue_depth = n,
+                    Some(n) => config.queue_depth = n,
                     None => {
                         eprintln!("shoal daemon: --queue-depth needs a number (0 = shed instead of queue)");
                         return ExitCode::from(2);
@@ -838,7 +813,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--queue-wait-ms" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => queue_wait_ms = n,
+                    Some(n) => config.queue_wait = std::time::Duration::from_millis(n),
                     None => {
                         eprintln!("shoal daemon: --queue-wait-ms needs a number");
                         return ExitCode::from(2);
@@ -848,7 +823,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
             "--cache-disk-bytes" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => cache_disk_bytes = Some(n),
+                    Some(n) if n > 0 => config.cache_disk_bytes = Some(n),
                     _ => {
                         eprintln!("shoal daemon: --cache-disk-bytes needs a positive byte count");
                         return ExitCode::from(2);
@@ -862,88 +837,25 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    let socket_path = socket
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(shoal_daemon::default_socket_path);
-    match action {
+    if no_disk {
+        config.cache_dir = None;
+    }
+    use shoal_daemon::client;
+    let socket = config.socket.clone();
+    let reply = match action {
+        // JSON status is the full `shoal-stats/v1` telemetry snapshot
+        // (the `stats` verb), not the terse status verb.
         Some("status") if status_json => {
-            // JSON status is the full `shoal-stats/v1` telemetry
-            // snapshot (the `stats` verb), not the terse status verb.
-            match shoal_daemon::client::stats(&socket_path) {
-                Ok(json) => {
-                    println!("{}", json.to_text());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!(
-                        "shoal daemon: no daemon at {} ({e})",
-                        socket_path.display()
-                    );
-                    ExitCode::FAILURE
-                }
-            }
+            client::stats(&socket).map(|j| println!("{}", j.to_text()))
         }
-        Some("status") => match shoal_daemon::client::status(&socket_path) {
-            Ok(json) => {
-                println!("{}", json.to_text());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "shoal daemon: no daemon at {} ({e})",
-                    socket_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        },
-        Some("top") => match shoal_daemon::client::stats(&socket_path) {
-            Ok(json) => {
-                print!("{}", render_daemon_top(&json));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "shoal daemon: no daemon at {} ({e})",
-                    socket_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        },
-        Some("stop") => match shoal_daemon::client::stop(&socket_path) {
-            Ok(_) => {
-                eprintln!("shoal daemon: stopped {}", socket_path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!(
-                    "shoal daemon: no daemon at {} ({e})",
-                    socket_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        },
+        Some("status") => client::status(&socket).map(|j| println!("{}", j.to_text())),
+        Some("top") => client::stats(&socket).map(|j| print!("{}", render_daemon_top(&j))),
+        Some("stop") => {
+            client::stop(&socket).map(|_| eprintln!("shoal daemon: stopped {}", socket.display()))
+        }
         _ => {
-            let config = shoal_daemon::server::ServerConfig {
-                socket: socket_path.clone(),
-                cache_dir: if no_disk {
-                    None
-                } else {
-                    Some(
-                        cache_dir
-                            .map(std::path::PathBuf::from)
-                            .unwrap_or_else(shoal_daemon::default_cache_dir),
-                    )
-                },
-                cache_capacity,
-                cache_disk_bytes,
-                jobs,
-                queue_depth,
-                queue_wait: std::time::Duration::from_millis(queue_wait_ms),
-                trace_log: trace_log.map(std::path::PathBuf::from),
-                ..shoal_daemon::server::ServerConfig::default()
-            };
-            eprintln!("shoal daemon: listening on {}", socket_path.display());
-            match shoal_daemon::server::run(config) {
+            eprintln!("shoal daemon: listening on {}", socket.display());
+            return match shoal_daemon::server::run(config) {
                 Ok(()) => {
                     eprintln!("shoal daemon: shut down cleanly");
                     ExitCode::SUCCESS
@@ -952,7 +864,14 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
                     eprintln!("shoal daemon: {e}");
                     ExitCode::FAILURE
                 }
-            }
+            };
+        }
+    };
+    match reply {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("shoal daemon: no daemon at {} ({e})", socket.display());
+            ExitCode::FAILURE
         }
     }
 }
@@ -1097,92 +1016,6 @@ fn audit_str<'j>(j: &'j shoal_obs::json::Json, field: &str) -> &'j str {
     j.get(field)
         .and_then(shoal_obs::json::Json::as_str)
         .unwrap_or("?")
-}
-
-/// `shoal bench-service` — closed-loop load against the daemon,
-/// reporting latency percentiles (see `shoal_daemon::bench_service`).
-fn cmd_bench_service(args: &[String]) -> ExitCode {
-    let mut config = shoal_daemon::bench_service::BenchConfig::default();
-    let mut format = "text";
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--clients" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => config.clients = n,
-                    _ => {
-                        eprintln!("shoal bench-service: --clients needs a positive number");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--requests" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => config.requests = n,
-                    _ => {
-                        eprintln!("shoal bench-service: --requests needs a positive number");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--socket" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => config.socket = Some(std::path::PathBuf::from(s)),
-                    None => {
-                        eprintln!("shoal bench-service: --socket needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--overload" => config.overload = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some(f @ ("text" | "json" | "bench")) => f,
-                    other => {
-                        eprintln!(
-                            "shoal bench-service: --format must be text, json, or bench (got {:?})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("shoal bench-service: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    match shoal_daemon::bench_service::run_bench(&config) {
-        Ok(report) => {
-            match format {
-                "json" => println!("{}", report.to_json().to_text()),
-                // Overload runs emit only the rate keys: the percentile
-                // keys under a deliberately tiny daemon would poison
-                // the min-keeping BENCH_daemon.json harvest.
-                "bench" if config.overload => print!("{}", report.render_overload_bench_lines()),
-                "bench" => print!("{}", report.render_bench_lines()),
-                _ => print!("{}", report.render_text()),
-            }
-            if report.mismatches > 0 {
-                eprintln!(
-                    "shoal bench-service: {} verdict(s) diverged from local analysis",
-                    report.mismatches
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("shoal bench-service: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Writes the world tree(s) for the analyzed scripts. `.dot` writes

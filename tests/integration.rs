@@ -359,3 +359,148 @@ fn lsp_session_over_stdio() {
     assert_eq!(entries, want, "the opened and the edited text, nothing else");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `shoal daemon` child process. Dropping the guard kills and reaps
+/// it, so a failed assertion never leaves a daemon behind.
+struct DaemonGuard(std::process::Child);
+
+impl Drop for DaemonGuard {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The JIT daemon end to end through the real binary: a cold and a
+/// warm `shoal jit` print the same bytes as `shoal analyze`, the
+/// serving markers tell miss from hit, `daemon status --format json`
+/// and `daemon top` carry the telemetry plane (with the default slots
+/// and queue of `ServerConfig::default()`), and `daemon stop` shuts
+/// the daemon down cleanly.
+#[test]
+fn jit_daemon_serves_cold_and_warm_then_stops_cleanly() {
+    use std::time::{Duration, Instant};
+    let dir = std::env::temp_dir().join(format!("shoal-jit-daemon-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("daemon.sock");
+    let script = dir.join("fig1.sh");
+    std::fs::write(&script, figures::FIG1).unwrap();
+    let (sock, fig) = (socket.to_str().unwrap(), script.to_str().unwrap());
+
+    let mut daemon = DaemonGuard(
+        Command::new(env!("CARGO_BIN_EXE_shoal"))
+            .args(["daemon", "--socket", sock, "--cache-dir"])
+            .arg(dir.join("cache"))
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawns shoal daemon"),
+    );
+    let up = Instant::now() + Duration::from_secs(10);
+    while std::os::unix::net::UnixStream::connect(&socket).is_err() {
+        assert!(Instant::now() < up, "daemon did not come up on {sock}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let direct = run_shoal(&["analyze", fig, "--format", "json"], &[], b"");
+    let jit = || {
+        run_shoal(
+            &[
+                "jit",
+                "--socket",
+                sock,
+                "--no-spawn",
+                "--format",
+                "json",
+                fig,
+            ],
+            &[],
+            b"",
+        )
+    };
+    let (cold, warm) = (jit(), jit());
+    for (name, out) in [("cold", &cold), ("warm", &warm)] {
+        assert_eq!(
+            out.stdout, direct.stdout,
+            "{name} jit differs from direct analyze"
+        );
+        assert_eq!(
+            out.status.code(),
+            direct.status.code(),
+            "{name} jit exit code"
+        );
+    }
+    let cold_err = String::from_utf8_lossy(&cold.stderr);
+    let marker = "served=daemon cache=miss trace=";
+    let trace = cold_err
+        .find(marker)
+        .map(|at| &cold_err[at + marker.len()..])
+        .unwrap_or_else(|| panic!("cold request was not a traced served miss: {cold_err:?}"));
+    assert!(
+        trace.len() >= 16 && trace.bytes().take(16).all(|b| b.is_ascii_hexdigit()),
+        "cold marker carries no 16-hex trace id: {cold_err:?}"
+    );
+    let warm_err = String::from_utf8_lossy(&warm.stderr);
+    assert!(
+        warm_err.contains("served=daemon cache=hit"),
+        "warm request was not a served hit: {warm_err:?}"
+    );
+
+    let status = run_shoal(
+        &["daemon", "status", "--format", "json", "--socket", sock],
+        &[],
+        b"",
+    );
+    assert_eq!(status.status.code(), Some(0), "daemon status --format json");
+    let stats =
+        Json::parse(String::from_utf8_lossy(&status.stdout).trim()).expect("status is JSON");
+    let at = |path: &[&str]| {
+        path.iter()
+            .try_fold(&stats, |j, key| j.get(key))
+            .unwrap_or_else(|| panic!("stats carry no {}", path.join(".")))
+    };
+    assert_eq!(at(&["schema"]).as_str(), Some("shoal-stats/v1"));
+    for path in [
+        &["requests", "by", "analyze.hit"][..],
+        &["latency_us", "analyze.hit", "p99"],
+        &["cache", "corrupt_misses"],
+        &["audit", "analyzed_scripts"],
+        &["shield", "queue_highwater"],
+    ] {
+        at(path);
+    }
+    let slots = std::thread::available_parallelism().unwrap().get() as u64;
+    assert_eq!(
+        at(&["workers"]).as_u64(),
+        Some(slots),
+        "jobs 0 = available parallelism"
+    );
+    assert_eq!(at(&["shield", "queue_depth"]).as_u64(), Some(256));
+    assert_eq!(at(&["shield", "queue_wait_ms"]).as_u64(), Some(2000));
+
+    let top = run_shoal(&["daemon", "top", "--socket", sock], &[], b"");
+    assert_eq!(top.status.code(), Some(0), "daemon top");
+    let page = String::from_utf8_lossy(&top.stdout);
+    for line in ["requests:", "cache:", "audit:", "shield:"] {
+        assert!(
+            page.lines().any(|l| l.starts_with(line)),
+            "daemon top shows no {line} line:\n{page}"
+        );
+    }
+
+    let stop = run_shoal(&["daemon", "stop", "--socket", sock], &[], b"");
+    assert_eq!(stop.status.code(), Some(0), "daemon stop");
+    let down = Instant::now() + Duration::from_secs(10);
+    let exit = loop {
+        if let Some(exit) = daemon.0.try_wait().expect("polls the daemon") {
+            break exit;
+        }
+        assert!(Instant::now() < down, "daemon did not exit after stop");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(exit.success(), "daemon exited with {exit}");
+    assert!(!socket.exists(), "daemon left its socket behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
