@@ -254,32 +254,6 @@ impl ScanSummary {
             ("exit_code".into(), Json::Num(self.exit_code() as f64)),
         ])
     }
-
-    /// [`ScanSummary::to_json`] with the fleet `shoal-audit/v1`
-    /// document attached under an `audit` key (kept before
-    /// `exit_code`, which stays the last field). Deterministic for any
-    /// `--jobs`: per-script coverage is recorded under the worker's
-    /// panic shield and folded here from the input-ordered results.
-    pub fn to_json_audited(&self) -> Json {
-        let audit = crate::audit::AuditReport::build(self);
-        let mut doc = self.to_json();
-        if let Json::Obj(fields) = &mut doc {
-            let at = fields
-                .iter()
-                .position(|(k, _)| k == "exit_code")
-                .unwrap_or(fields.len());
-            fields.insert(at, ("audit".into(), audit.to_json()));
-        }
-        doc
-    }
-
-    /// [`ScanSummary::render_text`] followed by the fleet audit
-    /// rendering.
-    pub fn render_text_audited(&self) -> String {
-        let mut out = self.render_text();
-        out.push_str(&crate::audit::AuditReport::build(self).render_text());
-        out
-    }
 }
 
 thread_local! {

@@ -20,11 +20,11 @@ use shoal_obs::json::Json;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// A daemon running in a background thread, torn down via `stop`.
+/// A daemon running in a background thread, torn down via `stop`;
+/// dropping it also removes its socket and cache directory.
 struct TestDaemon {
     socket: PathBuf,
-    #[allow(dead_code)]
-    cache_dir: PathBuf,
+    base: PathBuf,
     thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
 
@@ -37,10 +37,9 @@ impl TestDaemon {
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).unwrap();
         let socket = base.join("daemon.sock");
-        let cache_dir = base.join("cache");
         let config = ServerConfig {
             socket: socket.clone(),
-            cache_dir: Some(cache_dir.clone()),
+            cache_dir: Some(base.join("cache")),
             cache_capacity: 64,
             jobs: 2,
             ..ServerConfig::default()
@@ -52,7 +51,7 @@ impl TestDaemon {
             if std::os::unix::net::UnixStream::connect(&socket).is_ok() {
                 return TestDaemon {
                     socket,
-                    cache_dir,
+                    base,
                     thread: Some(thread),
                 };
             }
@@ -77,6 +76,7 @@ impl Drop for TestDaemon {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
+        let _ = std::fs::remove_dir_all(&self.base);
     }
 }
 

@@ -18,7 +18,6 @@
 
 use crate::ast::Regex;
 use crate::class::ByteClass;
-use std::collections::HashMap;
 
 /// The derivative of `r` with respect to byte `b`.
 pub fn deriv(r: &Regex, b: u8) -> Regex {
@@ -105,62 +104,6 @@ fn split(partition: &mut Vec<ByteClass>, c: &ByteClass) {
     *partition = next;
 }
 
-/// An online matcher that feeds bytes one at a time, memoizing derivative
-/// states. This is what the runtime monitor uses per line: feeding is
-/// amortized O(1) once the reachable derivative states are cached.
-#[derive(Debug, Clone)]
-pub struct DerivMatcher {
-    start: Regex,
-    current: Regex,
-    cache: HashMap<(Regex, u8), Regex>,
-}
-
-impl DerivMatcher {
-    /// Creates a matcher for `r`, positioned at the start of input.
-    pub fn new(r: Regex) -> Self {
-        DerivMatcher {
-            current: r.clone(),
-            start: r,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// Feeds one byte.
-    pub fn feed(&mut self, b: u8) {
-        let key = (self.current.clone(), b);
-        if let Some(next) = self.cache.get(&key) {
-            self.current = next.clone();
-            return;
-        }
-        let next = deriv(&self.current, b);
-        self.cache.insert(key, next.clone());
-        self.current = next;
-    }
-
-    /// Feeds a slice of bytes.
-    pub fn feed_all(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.feed(b);
-        }
-    }
-
-    /// Would accepting stop here, i.e. is the input seen so far in the
-    /// language?
-    pub fn is_match(&self) -> bool {
-        self.current.nullable()
-    }
-
-    /// Can any continuation of the input seen so far still match?
-    pub fn can_still_match(&self) -> bool {
-        !self.current.is_empty()
-    }
-
-    /// Resets to the start of input (cache is retained).
-    pub fn reset(&mut self) {
-        self.current = self.start.clone();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,20 +174,5 @@ mod tests {
                 assert_eq!(deriv(&r, b), d);
             }
         }
-    }
-
-    #[test]
-    fn matcher_online() {
-        let mut m = DerivMatcher::new(Regex::lit("abc").plus());
-        m.feed_all(b"abc");
-        assert!(m.is_match());
-        m.feed_all(b"ab");
-        assert!(!m.is_match());
-        assert!(m.can_still_match());
-        m.feed(b'z');
-        assert!(!m.can_still_match());
-        m.reset();
-        m.feed_all(b"abcabc");
-        assert!(m.is_match());
     }
 }

@@ -20,9 +20,10 @@
 //! The engine works over the full byte alphabet (shell streams are raw
 //! bytes), parses a practical POSIX-ERE subset, compiles via Thompson NFA
 //! and subset-construction DFA with byte-class compression, minimizes with
-//! Hopcroft's worklist algorithm, and additionally offers Brzozowski
-//! derivatives for allocation-light online matching (used by the runtime
-//! monitor and cross-checked against the automata in tests). The binary
+//! Hopcroft's worklist algorithm, and builds DFAs for the full extended
+//! syntax, `And` and `Not` included, from Brzozowski derivatives
+//! ([`deriv`]); the runtime monitor matches lines with [`Dfa::matches`].
+//! The binary
 //! decision procedures are *lazy*: they explore the implicit product
 //! automaton on the fly ([`lazy`]) and exit at the first counterexample
 //! instead of materializing and minimizing the product.
@@ -54,7 +55,6 @@ pub mod parser;
 
 pub use ast::Regex;
 pub use class::ByteClass;
-pub use deriv::DerivMatcher;
 pub use dfa::{
     capture_approx_hits, dfa_state_cap, replay_approx_hits, set_dfa_state_cap, take_approx_hits,
     ApproxReason, Dfa, DEFAULT_DFA_STATE_CAP,

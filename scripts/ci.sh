@@ -33,53 +33,13 @@ cargo build --release --workspace --offline
 echo "==> workspace: cargo test -q --workspace"
 cargo test -q --workspace --offline
 
-# Audit gate: the precision/coverage plane must speak shoal-audit/v1,
-# stay dark when off (no audit key, no clock reads in the audit
-# sources), and cost nothing measurable when on (recorded baseline:
-# audit-on <= 1.05x audit-off). Byte-identity at any --jobs level is
-# tests/audit.rs::audited_scan_is_byte_identical_at_any_jobs_level.
-echo "==> audit: shoal-audit/v1 schema + dark path + overhead"
-audit_fail=0
-target/release/shoal audit --format json examples/ > /tmp/audit_rep.$$ \
-    || { echo "FAIL: shoal audit exited non-zero (it is a report, not a gate)"; audit_fail=1; }
-grep -q '"schema":"shoal-audit/v1"' /tmp/audit_rep.$$ || { echo "FAIL: audit report is not shoal-audit/v1"; audit_fail=1; }
-grep -q '"missing_specs"' /tmp/audit_rep.$$ || { echo "FAIL: audit report carries no missing_specs ranking"; audit_fail=1; }
-grep -q '"by_cause"' /tmp/audit_rep.$$ || { echo "FAIL: audit report carries no per-cause loss taxonomy"; audit_fail=1; }
-if target/release/shoal scan --jobs 1 --format json examples/ 2>/dev/null | grep -q '"audit"'; then
-    echo "FAIL: scan without --audit emitted an audit key (dark path broken)"
-    audit_fail=1
-fi
-if grep -En 'Instant::now|SystemTime' crates/obs/src/audit.rs crates/core/src/audit.rs; then
-    echo "FAIL: audit sources read a clock (the plane must add zero clock reads)"
-    audit_fail=1
-fi
-awk -F'[:,]' '
-    /"scan\/audit_off"/ { off = $2 + 0 }
-    /"scan\/audit_on"/  { on = $2 + 0 }
-    END {
-        if (off <= 0 || on <= 0) { print "  MISSING scan/audit_{off,on} in BENCH_scan.json"; exit 1 }
-        ratio = on / off
-        printf "  audit overhead: %.0f -> %.0f ns/iter (%.3fx, cap 1.05x)\n", off, on, ratio
-        exit (ratio > 1.05 ? 1 : 0)
-    }' BENCH_scan.json || { echo "FAIL: recorded audit-on overhead exceeds 1.05x audit-off"; audit_fail=1; }
-rm -f /tmp/audit_rep.$$
-if [ "$audit_fail" = 1 ]; then
-    exit 1
-fi
-
-# Precision gate: the lazy decision engine must not widen coverage
-# loss. Over the figure corpus, the number of dfa-cap losses reported
-# by the audit plane is pinned at 0 — a lazy search that charges
-# explored pairs too eagerly (or a quotient that caps a product the
-# eager pipeline could build) shows up here as a new dfa-cap entry.
-echo "==> precision: dfa-cap losses over examples/ tests/ (pinned baseline: 0)"
-dfa_cap_losses=$(target/release/shoal scan --audit --format json examples/ tests/ 2>/dev/null \
-    | grep -o '"dfa-cap":[0-9]*' | awk -F: '{ sum += $2 } END { print sum + 0 }' || true)
-if [ "${dfa_cap_losses:-0}" -gt 0 ]; then
-    echo "FAIL: $dfa_cap_losses dfa-cap losses over the figure corpus (baseline 0)"
-    exit 1
-fi
-
+# The audit gate (shoal-audit/v1 schema, dark path, no clock reads,
+# recorded overhead) and the precision gate (no dfa-cap loss over the
+# figure corpus) run in `cargo test`: tests/integration.rs::
+# audit_prints_the_fleet_report_and_scan_stays_dark and tests/audit.rs::
+# {audit_sources_read_no_clock, recorded_audit_overhead_is_within_five_percent,
+# figure_corpus_has_no_dfa_cap_losses}.
+#
 # The JIT daemon smoke gate (cold/warm serve, byte-equality with
 # `shoal analyze`, telemetry, clean shutdown) runs in `cargo test` as
 # tests/integration.rs::jit_daemon_serves_cold_and_warm_then_stops_cleanly.

@@ -1,9 +1,16 @@
 //! `shoal` — semantics-driven static analysis for Unix shell programs.
 //!
-//! Subcommands:
+//! Subcommands (`USAGE` below has their options):
 //!
-//! * `analyze SCRIPT…` — run the full symbolic analysis (the paper's
-//!   headline: catches Fig. 1, proves Fig. 2, catches Fig. 3).
+//! * `analyze SCRIPT…` (alias `check`) — the full symbolic analysis
+//!   (the paper's headline: catches Fig. 1, proves Fig. 2, catches
+//!   Fig. 3).
+//! * `scan PATH…` — hardened batch analysis of a tree of scripts.
+//! * `audit PATH…` — the fleet coverage and precision-loss report
+//!   (`shoal-audit/v1`).
+//! * `jit SCRIPT…` — analysis through the resident daemon, falling back
+//!   in-process; `daemon [stop|status|top]` runs or controls it.
+//! * `lsp` — the language server over stdio (incremental engine).
 //! * `lint SCRIPT…` — the ShellCheck-style syntactic baseline, for
 //!   comparison.
 //! * `typecheck 'PIPELINE'` — stream-type a pipeline and print each
@@ -16,9 +23,23 @@
 //! * `explain SCRIPT [INDEX]` — replay the witness execution path of a
 //!   finding (its provenance trail) step by step.
 //! * `explain COMMAND` — print the ground-truth specification.
+//! * `coach SCRIPT…` — optimization suggestions (§5).
+//!
+//! Every subcommand that takes options or operands reads them through
+//! [`Args`]. A usage or I/O error comes back as the message to print,
+//! and the process exits 2.
 
+use shoal_daemon::cache::Entry;
 use std::io::{BufReader, Read, Write};
+use std::num::NonZeroU64;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
+
+/// What a subcommand returns: its exit code, or the message of a usage
+/// or I/O error (exit 2).
+type CmdResult = Result<ExitCode, String>;
 
 fn main() -> ExitCode {
     // Arm test-only fault injection when SHOAL_FAILPOINTS is set
@@ -44,7 +65,7 @@ fn main() -> ExitCode {
         }
     };
     let rest = &rest[..];
-    let code = match cmd.as_str() {
+    let result = match cmd.as_str() {
         "analyze" | "check" => cmd_analyze(rest, &obs),
         "scan" => cmd_scan(rest),
         "audit" => cmd_audit(rest),
@@ -60,19 +81,92 @@ fn main() -> ExitCode {
         "coach" => cmd_coach(rest),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         other => {
             eprintln!("shoal: unknown subcommand {other:?}\n");
             eprint!("{USAGE}");
-            ExitCode::from(2)
+            Ok(ExitCode::from(2))
         }
     };
+    let code = result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    });
     if let Err(e) = obs.finish() {
         eprintln!("shoal: {e}");
         return ExitCode::from(2);
     }
     code
+}
+
+/// The option reader every subcommand's flag loop uses. It walks one
+/// subcommand's arguments left to right; a flag arm takes the flag's
+/// value with [`Args::value`] or [`Args::choice`], and anything else
+/// goes through [`Args::operand`], so an unknown `--option` is an
+/// error, never a script path. Errors are the message to print, as
+/// `shoal SUB: …`.
+struct Args<'a> {
+    sub: &'static str,
+    rest: std::slice::Iter<'a, String>,
+    /// The argument read last: the flag a value error names.
+    flag: &'a str,
+}
+
+impl<'a> Args<'a> {
+    fn new(sub: &'static str, args: &'a [String]) -> Self {
+        Args { sub, rest: args.iter(), flag: "" }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value, parsed as a `T`; `what` describes it
+    /// for the error when it is missing or does not parse.
+    fn value<T: FromStr>(&mut self, what: &str) -> Result<T, String> {
+        match self.rest.next().map(|v| v.parse()) {
+            Some(Ok(v)) => Ok(v),
+            _ => Err(self.err(format!("{} needs {what}", self.flag))),
+        }
+    }
+
+    /// The current flag's value, which must be one of `choices`.
+    fn choice(&mut self, choices: &[&'static str]) -> Result<&'static str, String> {
+        let got = self.rest.next().map_or("nothing", String::as_str);
+        match choices.iter().find(|c| **c == got) {
+            Some(c) => Ok(c),
+            None => Err(self.err(format!(
+                "{} must be {} (got {got:?})",
+                self.flag,
+                choices.join(" or ")
+            ))),
+        }
+    }
+
+    /// `arg` as an operand: an argument that starts with `--` and no
+    /// flag arm took is an unknown option.
+    fn operand(&self, arg: &'a str) -> Result<&'a str, String> {
+        if arg.starts_with("--") {
+            Err(self.err(format!("unknown option {arg:?}")))
+        } else {
+            Ok(arg)
+        }
+    }
+
+    /// The remaining arguments of a subcommand that takes no options.
+    fn operands(mut self) -> Result<Vec<&'a str>, String> {
+        let mut out = Vec::new();
+        while let Some(arg) = self.next() {
+            out.push(self.operand(arg)?);
+        }
+        Ok(out)
+    }
+
+    fn err(&self, msg: impl std::fmt::Display) -> String {
+        format!("shoal {}: {msg}", self.sub)
+    }
 }
 
 /// Cross-cutting observability flags, accepted by every subcommand:
@@ -166,8 +260,6 @@ SCAN OPTIONS:
                                 (default 2000; 0 = unlimited)
     --jobs N                    worker threads for the batch
                                 (default 0 = available parallelism)
-    --audit                     record coverage/precision-loss maps and
-                                append the fleet shoal-audit/v1 report
   scan walks directories for .sh / shell-shebang files, isolates each
   script's analysis against panics (retrying once with tightened
   budgets), and exits 0 = clean, 1 = findings, 3 = some scripts only
@@ -177,12 +269,13 @@ SCAN OPTIONS:
 AUDIT OPTIONS (plus --fuel/--deadline-ms/--jobs as for scan):
     --format text|json          output format (default text; json is
                                 the shoal-audit/v1 document)
-  audit scans like `scan --audit` but prints only the fleet report:
-  commands ranked by scripts x call sites lacking specs, precision
-  losses by cause (no-spec, dfa-cap, loop-widen, fuel, deadline,
-  parse-partial, world-cap, expansion-cap) with worst-offender
-  scripts, and checker fired / possibly-suppressed counts. Output is
-  byte-deterministic across runs and --jobs values; exits 0.
+  audit scans like `scan` with coverage recording on, and prints only
+  the fleet report: commands ranked by scripts x call sites lacking
+  specs, precision losses by cause (no-spec, dfa-cap, loop-widen, fuel,
+  deadline, parse-partial, world-cap, expansion-cap) with
+  worst-offender scripts, and checker fired / possibly-suppressed
+  counts. Output is byte-deterministic across runs and --jobs values;
+  exits 0.
 
 JIT / DAEMON OPTIONS:
     --socket PATH               daemon socket (default: per-user path
@@ -236,68 +329,33 @@ OBSERVABILITY (any subcommand):
     --profile         attach per-phase timings to analysis reports
 ";
 
+/// A script's text, from `path` or, for `-`, from stdin.
 fn read_script(path: &str) -> Result<String, String> {
     if path == "-" {
         let mut src = String::new();
         std::io::stdin()
             .read_to_string(&mut src)
-            .map_err(|e| format!("reading stdin: {e}"))?;
+            .map_err(|e| format!("shoal: reading stdin: {e}"))?;
         Ok(src)
     } else {
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+        std::fs::read_to_string(path).map_err(|e| format!("shoal: {path}: {e}"))
     }
 }
 
-/// Output format of `analyze`/`check`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum OutputFormat {
-    Text,
-    Json,
-    Sarif,
-}
-
-fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
-    // Subcommand-local flags: --format, --emit-world-tree.
-    let mut format = OutputFormat::Text;
+fn cmd_analyze(args: &[String], obs: &ObsFlags) -> CmdResult {
+    let mut a = Args::new("analyze", args);
+    let mut format = "text";
     let mut tree_file: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => OutputFormat::Text,
-                    Some("json") => OutputFormat::Json,
-                    Some("sarif") => OutputFormat::Sarif,
-                    other => {
-                        eprintln!(
-                            "shoal analyze: --format must be text, json, or sarif (got {:?})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--emit-world-tree" => {
-                i += 1;
-                let Some(f) = args.get(i) else {
-                    eprintln!("shoal analyze: --emit-world-tree needs an output file");
-                    return ExitCode::from(2);
-                };
-                tree_file = Some(f.clone());
-            }
-            other if other.starts_with("--") => {
-                eprintln!("shoal analyze: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-            p => paths.push(p.to_string()),
+    let mut paths = Vec::new();
+    while let Some(arg) = a.next() {
+        match arg {
+            "--format" => format = a.choice(&["text", "json", "sarif"])?,
+            "--emit-world-tree" => tree_file = Some(a.value("an output file")?),
+            _ => paths.push(a.operand(arg)?),
         }
-        i += 1;
     }
     if paths.is_empty() {
-        eprintln!("shoal analyze: no scripts given");
-        return ExitCode::from(2);
+        return Err(a.err("no scripts given"));
     }
     let opts = shoal_core::AnalysisOptions {
         profile: obs.profile,
@@ -305,151 +363,83 @@ fn cmd_analyze(args: &[String], obs: &ObsFlags) -> ExitCode {
     };
     let mut worst = ExitCode::SUCCESS;
     let mut entries: Vec<(String, shoal_core::AnalysisReport)> = Vec::new();
-    for path in &paths {
-        let src = match read_script(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("shoal: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    for path in paths {
+        let src = read_script(path)?;
         match shoal_core::analyze_source_with(&src, opts.clone()) {
             Err(e) => {
                 eprintln!("{path}: parse error: {e}");
                 worst = ExitCode::from(2);
             }
             Ok(report) => {
-                if report
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.severity >= shoal_core::Severity::Warning)
-                {
-                    worst = ExitCode::FAILURE;
-                }
-                if format == OutputFormat::Text {
-                    if report.diagnostics.is_empty() {
-                        println!("{path}: no findings across all explored executions");
-                    } else {
-                        for d in &report.diagnostics {
-                            println!("{path}: {d}");
-                        }
-                    }
-                    println!(
-                        "{path}: {} execution path(s) explored, peak {} live world(s){}",
-                        report.terminal_worlds,
-                        report.worlds_explored,
-                        if report.incomplete { " (capped)" } else { "" }
-                    );
-                    for hit in &report.cap_hits {
-                        println!(
-                            "{path}: cap hit: {} at line {} ({} hit(s), {} world(s) dropped)",
-                            hit.reason, hit.line, hit.hits, hit.dropped
-                        );
-                    }
+                Verdict::of_report(&report).print(path, format == "text", &mut worst);
+                if format == "text" {
                     if let Some(p) = &report.profile {
                         print!("{}", render_profile(path, p));
                     }
                 }
-                entries.push((path.clone(), report));
+                entries.push((path.to_string(), report));
             }
         }
     }
     if let Some(file) = &tree_file {
-        if let Err(e) = emit_world_trees(file, &entries) {
-            eprintln!("shoal: {e}");
-            return ExitCode::from(2);
-        }
+        emit_world_trees(file, &entries)?;
     }
     match format {
-        OutputFormat::Text => {}
-        OutputFormat::Json => {
-            println!("{}", shoal_core::provenance::reports_json(&entries).to_text());
-        }
-        OutputFormat::Sarif => {
-            println!("{}", shoal_core::provenance::sarif_json(&entries).to_text());
-        }
+        "json" => println!("{}", shoal_core::provenance::reports_json(&entries).to_text()),
+        "sarif" => println!("{}", shoal_core::provenance::sarif_json(&entries).to_text()),
+        _ => {}
     }
-    worst
+    Ok(worst)
 }
 
-/// `shoal scan PATH...` — the hardened batch driver: panic-isolated,
-/// budgeted, taxonomy-reporting (see `shoal_core::scan`).
-fn cmd_scan(args: &[String]) -> ExitCode {
-    let mut opts = shoal_core::ScanOptions::default();
+/// Parses the flags `scan` and `audit` share (`--format text|json`,
+/// `--fuel`, `--deadline-ms`, `--jobs`) and scans the paths, recording
+/// coverage when `audit` is set. Returns the summary and whether JSON
+/// was asked for.
+fn scan(
+    sub: &'static str,
+    args: &[String],
+    audit: bool,
+) -> Result<(shoal_core::ScanSummary, bool), String> {
+    let mut a = Args::new(sub, args);
+    let mut opts = shoal_core::ScanOptions { audit, ..shoal_core::ScanOptions::default() };
     let mut json = false;
-    let mut roots: Vec<std::path::PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--audit" => opts.audit = true,
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json = false,
-                    Some("json") => json = true,
-                    other => {
-                        eprintln!(
-                            "shoal scan: --format must be text or json (got {:?})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+    let mut roots: Vec<PathBuf> = Vec::new();
+    while let Some(arg) = a.next() {
+        match arg {
+            "--format" => json = a.choice(&["text", "json"])? == "json",
             "--fuel" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(0) => opts.fuel = None,
-                    Some(n) => opts.fuel = Some(n),
-                    None => {
-                        eprintln!("shoal scan: --fuel needs a number (0 = unlimited)");
-                        return ExitCode::from(2);
-                    }
+                opts.fuel = match a.value("a number (0 = unlimited)")? {
+                    0 => None,
+                    n => Some(n),
                 }
             }
             "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(0) => opts.deadline = None,
-                    Some(n) => opts.deadline = Some(std::time::Duration::from_millis(n)),
-                    None => {
-                        eprintln!("shoal scan: --deadline-ms needs a number (0 = unlimited)");
-                        return ExitCode::from(2);
-                    }
+                opts.deadline = match a.value("a number (0 = unlimited)")? {
+                    0 => None,
+                    n => Some(Duration::from_millis(n)),
                 }
             }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => opts.jobs = n,
-                    None => {
-                        eprintln!("shoal scan: --jobs needs a number (0 = auto)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            other if other.starts_with("--") => {
-                eprintln!("shoal scan: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-            p => roots.push(std::path::PathBuf::from(p)),
+            "--jobs" => opts.jobs = a.value("a number (0 = auto)")?,
+            _ => roots.push(PathBuf::from(a.operand(arg)?)),
         }
-        i += 1;
     }
     if roots.is_empty() {
-        eprintln!("shoal scan: no paths given");
-        return ExitCode::from(2);
+        return Err(a.err("no paths given"));
     }
-    let summary = shoal_core::scan_paths(&roots, &opts);
+    Ok((shoal_core::scan_paths(&roots, &opts), json))
+}
+
+/// `shoal scan PATH...` — hardened batch analysis: panic-isolated,
+/// budgeted, taxonomy-reporting (see `shoal_core::scan`).
+fn cmd_scan(args: &[String]) -> CmdResult {
+    let (summary, json) = scan("scan", args, false)?;
     if json {
-        let doc = if opts.audit { summary.to_json_audited() } else { summary.to_json() };
-        println!("{}", doc.to_text());
-    } else if opts.audit {
-        print!("{}", summary.render_text_audited());
+        println!("{}", summary.to_json().to_text());
     } else {
         print!("{}", summary.render_text());
     }
-    ExitCode::from(summary.exit_code() as u8)
+    Ok(ExitCode::from(summary.exit_code() as u8))
 }
 
 /// `shoal audit DIR…` — scan a tree with coverage recording on and
@@ -458,148 +448,41 @@ fn cmd_scan(args: &[String]) -> ExitCode {
 /// checker fired/suppressed counts. Always exits 0 on a completed
 /// audit (it is an observability report, not a gate; `shoal scan`
 /// carries the gating exit codes).
-fn cmd_audit(args: &[String]) -> ExitCode {
-    let mut opts = shoal_core::ScanOptions { audit: true, ..shoal_core::ScanOptions::default() };
-    let mut json = false;
-    let mut roots: Vec<std::path::PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => json = false,
-                    Some("json") => json = true,
-                    other => {
-                        eprintln!(
-                            "shoal audit: --format must be text or json (got {:?})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--fuel" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(0) => opts.fuel = None,
-                    Some(n) => opts.fuel = Some(n),
-                    None => {
-                        eprintln!("shoal audit: --fuel needs a number (0 = unlimited)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(0) => opts.deadline = None,
-                    Some(n) => opts.deadline = Some(std::time::Duration::from_millis(n)),
-                    None => {
-                        eprintln!("shoal audit: --deadline-ms needs a number (0 = unlimited)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => opts.jobs = n,
-                    None => {
-                        eprintln!("shoal audit: --jobs needs a number (0 = auto)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            other if other.starts_with("--") => {
-                eprintln!("shoal audit: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-            p => roots.push(std::path::PathBuf::from(p)),
-        }
-        i += 1;
-    }
-    if roots.is_empty() {
-        eprintln!("shoal audit: no paths given");
-        return ExitCode::from(2);
-    }
-    let summary = shoal_core::scan_paths(&roots, &opts);
+fn cmd_audit(args: &[String]) -> CmdResult {
+    let (summary, json) = scan("audit", args, true)?;
     let report = shoal_core::AuditReport::build(&summary);
     if json {
         println!("{}", report.to_json().to_text());
     } else {
         print!("{}", report.render_text());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `shoal jit SCRIPT...` — the thin just-in-time client: ask the
 /// daemon (auto-spawning one if needed), fall back in-process when
 /// unreachable. Stdout is byte-identical to `shoal analyze`; the path
 /// taken is reported on stderr.
-fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
-    let mut format = OutputFormat::Text;
+fn cmd_jit(args: &[String], obs: &ObsFlags) -> CmdResult {
+    let mut a = Args::new("jit", args);
+    let mut text = true;
     let mut cfg = shoal_daemon::client::ClientConfig::default();
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut paths = Vec::new();
+    while let Some(arg) = a.next() {
+        match arg {
             "--no-spawn" => cfg.auto_spawn = false,
             "--request-timeout-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => cfg.request_timeout = std::time::Duration::from_millis(n),
-                    _ => {
-                        eprintln!("shoal jit: --request-timeout-ms needs a positive number");
-                        return ExitCode::from(2);
-                    }
-                }
+                let ms: NonZeroU64 = a.value("a positive number")?;
+                cfg.request_timeout = Duration::from_millis(ms.get());
             }
-            "--retries" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) => cfg.retries = n,
-                    None => {
-                        eprintln!("shoal jit: --retries needs a number (0 = no retries)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--socket" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => cfg.socket = std::path::PathBuf::from(s),
-                    None => {
-                        eprintln!("shoal jit: --socket needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => OutputFormat::Text,
-                    Some("json") => OutputFormat::Json,
-                    other => {
-                        eprintln!(
-                            "shoal jit: --format must be text or json (got {:?})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            other if other.starts_with("--") => {
-                eprintln!("shoal jit: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-            p => paths.push(p.to_string()),
+            "--retries" => cfg.retries = a.value("a number (0 = no retries)")?,
+            "--socket" => cfg.socket = a.value("a path")?,
+            "--format" => text = a.choice(&["text", "json"])? == "text",
+            _ => paths.push(a.operand(arg)?),
         }
-        i += 1;
     }
     if paths.is_empty() {
-        eprintln!("shoal jit: no scripts given");
-        return ExitCode::from(2);
+        return Err(a.err("no scripts given"));
     }
     let opts = shoal_core::AnalysisOptions {
         profile: obs.profile,
@@ -607,14 +490,8 @@ fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
     };
     let mut worst = ExitCode::SUCCESS;
     let mut scripts: Vec<shoal_obs::json::Json> = Vec::new();
-    for path in &paths {
-        let src = match read_script(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("shoal: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    for path in paths {
+        let src = read_script(path)?;
         let r = shoal_daemon::client::analyze(&cfg, &src, &opts);
         // The machine-readable path marker: stdout stays identical to
         // a direct analyze, so the serving path lives on stderr.
@@ -642,200 +519,153 @@ fn cmd_jit(args: &[String], obs: &ObsFlags) -> ExitCode {
                 worst = ExitCode::from(2);
             }
             Ok(entry) => {
-                if entry.findings > 0 {
-                    worst = ExitCode::FAILURE;
-                }
-                if format == OutputFormat::Text {
-                    print!("{}", render_jit_text(path, &entry));
-                }
+                Verdict::of_entry(&entry).print(path, text, &mut worst);
                 let mut fields = vec![(
                     "path".to_string(),
-                    shoal_obs::json::Json::Str(path.clone()),
+                    shoal_obs::json::Json::Str(path.to_string()),
                 )];
-                if let shoal_obs::json::Json::Obj(body_fields) = &entry.body {
-                    fields.extend(body_fields.clone());
+                if let shoal_obs::json::Json::Obj(body_fields) = entry.body {
+                    fields.extend(body_fields);
                 }
                 scripts.push(shoal_obs::json::Json::Obj(fields));
             }
         }
     }
-    if format == OutputFormat::Json {
+    if !text {
         println!(
             "{}",
             shoal_core::provenance::reports_envelope(scripts).to_text()
         );
     }
-    worst
+    Ok(worst)
 }
 
-/// Renders a served verdict exactly as `shoal analyze` renders the
-/// same report in text mode (the wire body carries every field the
-/// text view needs).
-fn render_jit_text(path: &str, entry: &shoal_daemon::cache::Entry) -> String {
-    use shoal_obs::json::Json;
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if entry.text.is_empty() {
-        let _ = writeln!(out, "{path}: no findings across all explored executions");
-    } else {
-        for line in &entry.text {
-            let _ = writeln!(out, "{path}: {line}");
+/// One script's verdict as `analyze` and `jit` print it, so a
+/// daemon-served verdict prints exactly as a local one. `analyze` reads
+/// it off the report and `jit` off the result-cache entry; building
+/// that entry in `analyze` would serialize the whole world tree only to
+/// print a few of its numbers.
+struct Verdict {
+    /// Each finding's full rendering, in report order.
+    findings: Vec<String>,
+    /// How many findings are at warning level or above.
+    warnings: usize,
+    terminal_worlds: u64,
+    peak_live_worlds: u64,
+    incomplete: bool,
+    /// Each cap hit's reason, line, hit count and dropped worlds.
+    cap_hits: Vec<(String, u64, u64, u64)>,
+}
+
+impl Verdict {
+    fn of_report(report: &shoal_core::AnalysisReport) -> Verdict {
+        let diags = &report.diagnostics;
+        Verdict {
+            findings: diags.iter().map(ToString::to_string).collect(),
+            warnings: diags.iter().filter(|d| d.severity >= shoal_core::Severity::Warning).count(),
+            terminal_worlds: report.terminal_worlds as u64,
+            peak_live_worlds: report.worlds_explored as u64,
+            incomplete: report.incomplete,
+            cap_hits: report
+                .cap_hits
+                .iter()
+                .map(|h| (h.reason.to_string(), h.line.into(), h.hits as u64, h.dropped as u64))
+                .collect(),
         }
     }
-    let num = |field: &str| {
-        entry
-            .body
-            .get(field)
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let incomplete = matches!(entry.body.get("incomplete"), Some(Json::Bool(true)));
-    let _ = writeln!(
-        out,
-        "{path}: {} execution path(s) explored, peak {} live world(s){}",
-        num("terminal_worlds"),
-        num("peak_live_worlds"),
-        if incomplete { " (capped)" } else { "" }
-    );
-    if let Some(Json::Arr(hits)) = entry.body.get("cap_hits") {
-        for hit in hits {
-            let h = |f: &str| hit.get(f).and_then(Json::as_u64).unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "{path}: cap hit: {} at line {} ({} hit(s), {} world(s) dropped)",
-                hit.get("reason").and_then(Json::as_str).unwrap_or("?"),
-                h("line"),
-                h("hits"),
-                h("dropped")
+
+    fn of_entry(entry: &Entry) -> Verdict {
+        use shoal_obs::json::Json;
+        let num = |j: &Json, field: &str| j.get(field).and_then(Json::as_u64).unwrap_or(0);
+        let hits = match entry.body.get("cap_hits") {
+            Some(Json::Arr(hits)) => &hits[..],
+            _ => &[],
+        };
+        Verdict {
+            findings: entry.text.clone(),
+            warnings: entry.findings,
+            terminal_worlds: num(&entry.body, "terminal_worlds"),
+            peak_live_worlds: num(&entry.body, "peak_live_worlds"),
+            incomplete: matches!(entry.body.get("incomplete"), Some(Json::Bool(true))),
+            cap_hits: hits
+                .iter()
+                .map(|h| {
+                    let reason = h.get("reason").and_then(Json::as_str).unwrap_or("?");
+                    (reason.to_string(), num(h, "line"), num(h, "hits"), num(h, "dropped"))
+                })
+                .collect(),
+        }
+    }
+
+    /// The one exit-code rule (a finding at warning level or above
+    /// makes it 1) and, in text mode, the one text report: the findings
+    /// (or that there are none), the paths explored and the peak of
+    /// live worlds, then each cap hit.
+    fn print(&self, path: &str, text: bool, worst: &mut ExitCode) {
+        if self.warnings > 0 {
+            *worst = ExitCode::FAILURE;
+        }
+        if !text {
+            return;
+        }
+        if self.findings.is_empty() {
+            println!("{path}: no findings across all explored executions");
+        }
+        for finding in &self.findings {
+            println!("{path}: {finding}");
+        }
+        println!(
+            "{path}: {} execution path(s) explored, peak {} live world(s){}",
+            self.terminal_worlds,
+            self.peak_live_worlds,
+            if self.incomplete { " (capped)" } else { "" }
+        );
+        for (reason, line, hits, dropped) in &self.cap_hits {
+            println!(
+                "{path}: cap hit: {reason} at line {line} ({hits} hit(s), {dropped} world(s) dropped)"
             );
         }
     }
-    out
+}
+
+/// `shoal lsp` — the language server over stdio.
+fn cmd_lsp(args: &[String]) -> CmdResult {
+    if !args.is_empty() {
+        return Err("shoal lsp: takes no arguments (speaks LSP over stdio)".into());
+    }
+    Ok(ExitCode::from(shoal_lsp::run_stdio() as u8))
 }
 
 /// `shoal daemon [stop|status|top]` — run or control the resident
 /// analyzer.
-fn cmd_lsp(args: &[String]) -> ExitCode {
-    if !args.is_empty() {
-        eprintln!("shoal lsp: takes no arguments (speaks LSP over stdio)");
-        return ExitCode::from(2);
-    }
-    ExitCode::from(shoal_lsp::run_stdio() as u8)
-}
-
-fn cmd_daemon(args: &[String]) -> ExitCode {
-    use std::path::PathBuf;
+fn cmd_daemon(args: &[String]) -> CmdResult {
     // Every default (socket, cache, slots, queue) comes from
     // `ServerConfig::default()`; the flags override fields of it.
     let mut config = shoal_daemon::server::ServerConfig::default();
+    let mut a = Args::new("daemon", args);
     let mut action: Option<&str> = None;
     let mut no_disk = false;
     let mut status_json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "stop" | "status" | "top" if action.is_none() => action = Some(args[i].as_str()),
-            "--format" => {
-                i += 1;
-                status_json = match args.get(i).map(String::as_str) {
-                    Some("json") => true,
-                    Some("text") => false,
-                    other => {
-                        eprintln!(
-                            "shoal daemon: --format must be text or json (got {:?})",
-                            other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--trace-log" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => config.trace_log = Some(PathBuf::from(s)),
-                    None => {
-                        eprintln!("shoal daemon: --trace-log needs an output file (.jsonl)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--socket" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => config.socket = PathBuf::from(s),
-                    None => {
-                        eprintln!("shoal daemon: --socket needs a path");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => config.cache_dir = Some(PathBuf::from(s)),
-                    None => {
-                        eprintln!("shoal daemon: --cache-dir needs a directory");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+    while let Some(arg) = a.next() {
+        match arg {
+            "stop" | "status" | "top" if action.is_none() => action = Some(arg),
+            "--format" => status_json = a.choice(&["text", "json"])? == "json",
+            "--trace-log" => config.trace_log = Some(a.value("an output file (.jsonl)")?),
+            "--socket" => config.socket = a.value("a path")?,
+            "--cache-dir" => config.cache_dir = Some(a.value("a directory")?),
             "--no-disk-cache" => no_disk = true,
-            "--cache-capacity" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => config.cache_capacity = n,
-                    None => {
-                        eprintln!("shoal daemon: --cache-capacity needs a number");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => config.jobs = n,
-                    None => {
-                        eprintln!("shoal daemon: --jobs needs a number (0 = auto)");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+            "--cache-capacity" => config.cache_capacity = a.value("a number")?,
+            "--jobs" => config.jobs = a.value("a number (0 = auto)")?,
             "--queue-depth" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) => config.queue_depth = n,
-                    None => {
-                        eprintln!("shoal daemon: --queue-depth needs a number (0 = shed instead of queue)");
-                        return ExitCode::from(2);
-                    }
-                }
+                config.queue_depth = a.value("a number (0 = shed instead of queue)")?
             }
-            "--queue-wait-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) => config.queue_wait = std::time::Duration::from_millis(n),
-                    None => {
-                        eprintln!("shoal daemon: --queue-wait-ms needs a number");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+            "--queue-wait-ms" => config.queue_wait = Duration::from_millis(a.value("a number")?),
             "--cache-disk-bytes" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => config.cache_disk_bytes = Some(n),
-                    _ => {
-                        eprintln!("shoal daemon: --cache-disk-bytes needs a positive byte count");
-                        return ExitCode::from(2);
-                    }
-                }
+                let bytes: NonZeroU64 = a.value("a positive byte count")?;
+                config.cache_disk_bytes = Some(bytes.get());
             }
-            other => {
-                eprintln!("shoal daemon: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
+            _ => return Err(a.err(format!("unexpected argument {:?}", a.operand(arg)?))),
         }
-        i += 1;
     }
     if no_disk {
         config.cache_dir = None;
@@ -855,7 +685,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
         }
         _ => {
             eprintln!("shoal daemon: listening on {}", socket.display());
-            return match shoal_daemon::server::run(config) {
+            return Ok(match shoal_daemon::server::run(config) {
                 Ok(()) => {
                     eprintln!("shoal daemon: shut down cleanly");
                     ExitCode::SUCCESS
@@ -864,14 +694,14 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
                     eprintln!("shoal daemon: {e}");
                     ExitCode::FAILURE
                 }
-            };
+            });
         }
     };
     match reply {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) => Ok(ExitCode::SUCCESS),
         Err(e) => {
             eprintln!("shoal daemon: no daemon at {} ({e})", socket.display());
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -991,7 +821,7 @@ fn render_daemon_top(json: &shoal_obs::json::Json) -> String {
                 let _ = writeln!(
                     out,
                     "  {:<22} {:>4} script(s)  {:>4} site(s)  score {}",
-                    audit_str(entry, "command"),
+                    entry.get("command").and_then(Json::as_str).unwrap_or("?"),
                     num(entry, "scripts"),
                     num(entry, "sites"),
                     num(entry, "score"),
@@ -1011,13 +841,6 @@ fn render_daemon_top(json: &shoal_obs::json::Json) -> String {
     out
 }
 
-/// String field accessor for the audit block of a stats snapshot.
-fn audit_str<'j>(j: &'j shoal_obs::json::Json, field: &str) -> &'j str {
-    j.get(field)
-        .and_then(shoal_obs::json::Json::as_str)
-        .unwrap_or("?")
-}
-
 /// Writes the world tree(s) for the analyzed scripts. `.dot` writes
 /// GraphViz DOT, `.json` writes JSON, and any other name writes both
 /// (as `FILE.dot` + `FILE.json`). With several scripts, each gets a
@@ -1027,7 +850,7 @@ fn emit_world_trees(
     entries: &[(String, shoal_core::AnalysisReport)],
 ) -> Result<(), String> {
     let write = |path: &str, contents: &str| -> Result<(), String> {
-        std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, contents).map_err(|e| format!("shoal: {path}: {e}"))?;
         eprintln!("shoal: wrote world tree to {path}");
         Ok(())
     };
@@ -1075,20 +898,15 @@ fn render_profile(path: &str, p: &shoal_core::ProfileReport) -> String {
     shoal_obs::stats::render_table(&format!("profile ({path})"), &rows)
 }
 
-fn cmd_lint(paths: &[String]) -> ExitCode {
+
+fn cmd_lint(args: &[String]) -> CmdResult {
+    let paths = Args::new("lint", args).operands()?;
     if paths.is_empty() {
-        eprintln!("shoal lint: no scripts given");
-        return ExitCode::from(2);
+        return Err("shoal lint: no scripts given".into());
     }
     let mut worst = ExitCode::SUCCESS;
     for path in paths {
-        let src = match read_script(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("shoal: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let src = read_script(path)?;
         match shoal_lint::lint_source(&src) {
             Err(e) => {
                 eprintln!("{path}: parse error: {e}");
@@ -1104,24 +922,16 @@ fn cmd_lint(paths: &[String]) -> ExitCode {
             }
         }
     }
-    worst
+    Ok(worst)
 }
 
-fn cmd_typecheck(args: &[String]) -> ExitCode {
-    let Some(src) = args.first() else {
-        eprintln!("shoal typecheck: give a pipeline as one argument");
-        return ExitCode::from(2);
+fn cmd_typecheck(args: &[String]) -> CmdResult {
+    let Some(src) = Args::new("typecheck", args).operands()?.first().copied() else {
+        return Err("shoal typecheck: give a pipeline as one argument".into());
     };
-    let script = match shoal_shparse::parse_script(src) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let script = shoal_shparse::parse_script(src).map_err(|e| format!("parse error: {e}"))?;
     let Some(item) = script.items.first() else {
-        eprintln!("empty input");
-        return ExitCode::from(2);
+        return Err("empty input".into());
     };
     let pipe = &item.and_or.first;
     let engine = shoal_core::engine::Engine::new(shoal_core::AnalysisOptions::default());
@@ -1137,28 +947,24 @@ fn cmd_typecheck(args: &[String]) -> ExitCode {
                 println!("  (a subtype of `{name}`)");
             }
             if check.findings.is_empty() {
-                ExitCode::SUCCESS
+                Ok(ExitCode::SUCCESS)
             } else {
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             }
         }
         None => {
             println!("pipeline contains stages the type system cannot model");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_mine(names: &[String]) -> ExitCode {
-    let names: Vec<String> = if names.is_empty() {
-        shoal_miner::manpages::all_documented()
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    } else {
-        names.to_vec()
-    };
-    for name in &names {
+fn cmd_mine(args: &[String]) -> CmdResult {
+    let mut names = Args::new("mine", args).operands()?;
+    if names.is_empty() {
+        names = shoal_miner::manpages::all_documented().to_vec();
+    }
+    for name in names {
         match shoal_miner::mine_command(name) {
             Some(spec) => {
                 print!("{}", shoal_spec::text::render_spec(&spec));
@@ -1167,128 +973,78 @@ fn cmd_mine(names: &[String]) -> ExitCode {
             None => eprintln!("shoal mine: no documentation for {name:?}"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_verify(args: &[String]) -> ExitCode {
+fn cmd_verify(args: &[String]) -> CmdResult {
+    let mut a = Args::new("verify", args);
     let mut policy = shoal_monitor::Policy::default();
-    let mut script_path: Option<&String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut script_path = None;
+    while let Some(arg) = a.next() {
+        match arg {
             "--no-RW" | "--no-rw" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    eprintln!("--no-RW needs a path prefix");
-                    return ExitCode::from(2);
-                };
-                policy.no_read.push(p.clone());
-                policy.no_write.push(p.clone());
+                let prefix: String = a.value("a path prefix")?;
+                policy.no_read.push(prefix.clone());
+                policy.no_write.push(prefix);
             }
-            "--no-read" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    eprintln!("--no-read needs a path prefix");
-                    return ExitCode::from(2);
-                };
-                policy.no_read.push(p.clone());
-            }
-            "--no-write" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    eprintln!("--no-write needs a path prefix");
-                    return ExitCode::from(2);
-                };
-                policy.no_write.push(p.clone());
-            }
-            other if !other.starts_with("--") => script_path = Some(&args[i]),
-            other => {
-                eprintln!("shoal verify: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
+            "--no-read" => policy.no_read.push(a.value("a path prefix")?),
+            "--no-write" => policy.no_write.push(a.value("a path prefix")?),
+            _ => script_path = Some(a.operand(arg)?),
         }
-        i += 1;
     }
     let Some(path) = script_path else {
-        eprintln!("shoal verify: no script given (use - for stdin)");
-        return ExitCode::from(2);
+        return Err(a.err("no script given (use - for stdin)"));
     };
-    let src = match read_script(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("shoal: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let src = read_script(path)?;
     let specs = shoal_spec::SpecLibrary::builtin();
-    match shoal_monitor::verify_source(&src, &policy, &specs) {
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            ExitCode::from(2)
-        }
-        Ok(report) => {
-            for f in &report.findings {
-                let severity = match f.certainty {
-                    shoal_monitor::verify::Certainty::Definite => shoal_core::Severity::Error,
-                    shoal_monitor::verify::Certainty::Possible => shoal_core::Severity::Warning,
-                };
-                let diag = shoal_core::Diagnostic::new(
-                    shoal_core::DiagCode::PolicyViolation,
-                    severity,
-                    f.span,
-                    format!(
-                        "{:?} {} of protected {} by `{}`",
-                        f.certainty, f.access, f.prefix, f.what
-                    ),
-                );
-                println!("{diag}");
-            }
-            for (span, what) in &report.unclassified {
-                println!("{span}: unclassifiable command `{what}` — wrap with runtime containment");
-            }
-            if report.conclusively_safe() {
-                println!(
-                    "conclusively safe: {} command(s) verified against the policy",
-                    report.commands_checked
-                );
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+    let report = shoal_monitor::verify_source(&src, &policy, &specs)
+        .map_err(|e| format!("parse error: {e}"))?;
+    for f in &report.findings {
+        let severity = match f.certainty {
+            shoal_monitor::verify::Certainty::Definite => shoal_core::Severity::Error,
+            shoal_monitor::verify::Certainty::Possible => shoal_core::Severity::Warning,
+        };
+        let diag = shoal_core::Diagnostic::new(
+            shoal_core::DiagCode::PolicyViolation,
+            severity,
+            f.span,
+            format!(
+                "{:?} {} of protected {} by `{}`",
+                f.certainty, f.access, f.prefix, f.what
+            ),
+        );
+        println!("{diag}");
+    }
+    for (span, what) in &report.unclassified {
+        println!("{span}: unclassifiable command `{what}` — wrap with runtime containment");
+    }
+    if report.conclusively_safe() {
+        println!(
+            "conclusively safe: {} command(s) verified against the policy",
+            report.commands_checked
+        );
+        Ok(ExitCode::SUCCESS)
+    } else {
+        Ok(ExitCode::FAILURE)
     }
 }
 
-fn cmd_monitor(args: &[String]) -> ExitCode {
-    let mut ty_text: Option<&String> = None;
+fn cmd_monitor(args: &[String]) -> CmdResult {
+    let mut a = Args::new("monitor", args);
+    let mut ty_text: Option<String> = None;
     let mut halt = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--type" => {
-                i += 1;
-                ty_text = args.get(i);
-            }
+    while let Some(arg) = a.next() {
+        match arg {
+            "--type" => ty_text = Some(a.value("a line type")?),
             "--halt" => halt = true,
-            other => {
-                eprintln!("shoal monitor: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
+            _ => return Err(a.err(format!("unexpected argument {:?}", a.operand(arg)?))),
         }
-        i += 1;
     }
     let Some(ty_text) = ty_text else {
-        eprintln!("shoal monitor: --type is required");
-        return ExitCode::from(2);
+        return Err(a.err("--type is required"));
     };
     let aliases = shoal_streamty::TypeAliases::builtin();
-    let ty = match aliases.resolve(ty_text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("shoal monitor: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let ty = aliases.resolve(&ty_text).map_err(|e| a.err(e))?;
     let policy = if halt {
         shoal_monitor::OnViolation::Halt
     } else {
@@ -1299,46 +1055,33 @@ fn cmd_monitor(args: &[String]) -> ExitCode {
     let mut reader = BufReader::new(stdin.lock());
     let stdout = std::io::stdout();
     let mut writer = stdout.lock();
-    match monitor.run(&mut reader, &mut writer) {
-        Ok(report) => {
-            let _ = writer.flush();
-            if report.violations > 0 {
-                eprintln!(
-                    "shoal monitor: {} violation(s), first at line {}{}",
-                    report.violations,
-                    report.first_violation.unwrap_or(0),
-                    if report.halted {
-                        " — stream halted"
-                    } else {
-                        ""
-                    }
-                );
-                ExitCode::FAILURE
+    let report = monitor.run(&mut reader, &mut writer).map_err(|e| a.err(e))?;
+    let _ = writer.flush();
+    if report.violations > 0 {
+        eprintln!(
+            "shoal monitor: {} violation(s), first at line {}{}",
+            report.violations,
+            report.first_violation.unwrap_or(0),
+            if report.halted {
+                " — stream halted"
             } else {
-                ExitCode::SUCCESS
+                ""
             }
-        }
-        Err(e) => {
-            eprintln!("shoal monitor: {e}");
-            ExitCode::from(2)
-        }
+        );
+        Ok(ExitCode::FAILURE)
+    } else {
+        Ok(ExitCode::SUCCESS)
     }
 }
 
-fn cmd_coach(paths: &[String]) -> ExitCode {
+fn cmd_coach(args: &[String]) -> CmdResult {
+    let paths = Args::new("coach", args).operands()?;
     if paths.is_empty() {
-        eprintln!("shoal coach: no scripts given");
-        return ExitCode::from(2);
+        return Err("shoal coach: no scripts given".into());
     }
     let specs = shoal_spec::SpecLibrary::builtin();
     for path in paths {
-        let src = match read_script(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("shoal: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let src = read_script(path)?;
         match shoal_shparse::parse_script(&src) {
             Err(e) => eprintln!("{path}: parse error: {e}"),
             Ok(script) => {
@@ -1352,21 +1095,22 @@ fn cmd_coach(paths: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_explain(names: &[String]) -> ExitCode {
+fn cmd_explain(args: &[String]) -> CmdResult {
+    let names = Args::new("explain", args).operands()?;
     // Dispatch: a path to an existing script (or "-") replays a
     // finding's witness path; anything else is a spec name.
-    if let Some(first) = names.first() {
+    if let Some(&first) = names.first() {
         if first == "-" || std::path::Path::new(first).is_file() {
-            return cmd_explain_script(names);
+            return cmd_explain_script(first, names.get(1).copied());
         }
     }
     let specs = shoal_spec::SpecLibrary::builtin();
     if names.is_empty() {
         println!("specified commands: {}", specs.names().join(", "));
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut ok = true;
     for name in names {
@@ -1379,48 +1123,32 @@ fn cmd_explain(names: &[String]) -> ExitCode {
         }
     }
     if ok {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
 /// `shoal explain SCRIPT [INDEX]`: analyze the script and replay the
 /// witness execution of finding #INDEX (default 0) step by step.
-fn cmd_explain_script(args: &[String]) -> ExitCode {
-    let path = &args[0];
-    let index: usize = match args.get(1) {
+fn cmd_explain_script(path: &str, index: Option<&str>) -> CmdResult {
+    let index: usize = match index {
         None => 0,
-        Some(s) => match s.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("shoal explain: finding index must be a number (got {s:?})");
-                return ExitCode::from(2);
-            }
-        },
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("shoal explain: finding index must be a number (got {s:?})"))?,
     };
-    let src = match read_script(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("shoal: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match shoal_core::analyze_source(&src) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{path}: parse error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let src = read_script(path)?;
+    let report =
+        shoal_core::analyze_source(&src).map_err(|e| format!("{path}: parse error: {e}"))?;
     match shoal_core::provenance::explain_diag(path, &src, &report, index) {
         Ok(text) => {
             print!("{text}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("shoal explain: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }

@@ -1,10 +1,12 @@
 //! The precision/coverage audit plane end to end: call-site dedupe
 //! under world forking, taxonomy completeness, `--jobs` byte-parity of
-//! the fleet report, and the dark-path contract (audit off = no
-//! coverage map, identical verdicts).
+//! the fleet report, the dark-path contract (audit off = no coverage
+//! map, identical verdicts, no clock reads), the recorded overhead
+//! bound, and no `dfa-cap` loss over the figure corpus.
 
-use shoal::core::{analyze_source_with, scan_paths, AnalysisOptions, ScanOptions};
+use shoal::core::{analyze_source_with, scan_paths, AnalysisOptions, AuditReport, ScanOptions};
 use shoal_obs::audit::LossCause;
+use shoal_obs::json::Json;
 use std::path::PathBuf;
 
 fn audited() -> AnalysisOptions {
@@ -129,44 +131,100 @@ rm -rf \"$UNSET/\"*
     );
 }
 
-/// `scan --audit` is byte-identical across `--jobs` levels and across
-/// runs, in both text and JSON forms — the fleet fold must not leak
-/// scheduling order.
+/// The fleet report (`shoal audit`) is byte-identical across `--jobs`
+/// levels and across runs, in both text and JSON forms — the fleet
+/// fold must not leak scheduling order.
 #[test]
 fn audited_scan_is_byte_identical_at_any_jobs_level() {
     let roots = examples_dir();
-    let opts = |jobs| ScanOptions {
-        audit: true,
-        jobs,
-        ..ScanOptions::default()
+    let report = |jobs| {
+        let opts = ScanOptions {
+            audit: true,
+            jobs,
+            ..ScanOptions::default()
+        };
+        AuditReport::build(&scan_paths(&roots, &opts))
     };
-    let seq = scan_paths(&roots, &opts(1));
-    let par = scan_paths(&roots, &opts(4));
-    let again = scan_paths(&roots, &opts(4));
+    let (seq, par, again) = (report(1), report(4), report(4));
 
     assert_eq!(
-        seq.to_json_audited().to_text(),
-        par.to_json_audited().to_text(),
-        "audited JSON must not depend on --jobs"
+        seq.to_json().to_text(),
+        par.to_json().to_text(),
+        "audit JSON must not depend on --jobs"
     );
     assert_eq!(
-        seq.render_text_audited(),
-        par.render_text_audited(),
-        "audited text must not depend on --jobs"
+        seq.render_text(),
+        par.render_text(),
+        "audit text must not depend on --jobs"
     );
     assert_eq!(
-        par.to_json_audited().to_text(),
-        again.to_json_audited().to_text(),
-        "audited JSON must be stable across runs"
+        par.to_json().to_text(),
+        again.to_json().to_text(),
+        "audit JSON must be stable across runs"
+    );
+    assert_eq!(
+        par.render_text(),
+        again.render_text(),
+        "audit text must be stable across runs"
     );
 
-    // The audit block rides inside the scan JSON and carries the
-    // fleet schema; a plain scan must not grow one.
-    let doc = seq.to_json_audited().to_text();
+    let doc = seq.to_json().to_text();
     assert!(doc.contains("shoal-audit/v1"), "{doc}");
     let plain = scan_paths(&roots, &ScanOptions::default());
     assert!(
         !plain.to_json().to_text().contains("\"audit\""),
         "audit off: no audit key in scan output"
     );
+}
+
+/// The audit plane adds no clock reads: neither audit source calls
+/// `Instant::now` or names `SystemTime`.
+#[test]
+fn audit_sources_read_no_clock() {
+    for (path, src) in [
+        ("crates/obs/src/audit.rs", include_str!("../crates/obs/src/audit.rs")),
+        ("crates/core/src/audit.rs", include_str!("../crates/core/src/audit.rs")),
+    ] {
+        for clock in ["Instant::now", "SystemTime"] {
+            assert!(!src.contains(clock), "{path} reads a clock ({clock})");
+        }
+    }
+}
+
+/// The recorded scan benchmark keeps audit-on within 1.05x of
+/// audit-off (`BENCH_scan.json`, `scan/audit_on` vs `scan/audit_off`).
+#[test]
+fn recorded_audit_overhead_is_within_five_percent() {
+    let bench = Json::parse(include_str!("../BENCH_scan.json")).expect("BENCH_scan.json parses");
+    let ns = |key: &str| {
+        bench
+            .get("benchmarks")
+            .and_then(|b| b.get(key))
+            .and_then(Json::as_f64)
+            .filter(|ns| *ns > 0.0)
+            .unwrap_or_else(|| panic!("BENCH_scan.json has no positive {key}"))
+    };
+    let (off, on) = (ns("scan/audit_off"), ns("scan/audit_on"));
+    assert!(
+        on <= 1.05 * off,
+        "audit-on {on} ns/iter exceeds 1.05x audit-off {off} ns/iter"
+    );
+}
+
+/// The lazy decision engine must not widen coverage loss: the audit of
+/// the figure corpus (examples/ and tests/) reports no `dfa-cap` loss.
+/// A lazy search that charges explored pairs too eagerly, or a quotient
+/// that caps a product the eager pipeline could build, shows up here.
+#[test]
+fn figure_corpus_has_no_dfa_cap_losses() {
+    let mut roots = examples_dir();
+    roots.push(PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests")));
+    let opts = ScanOptions {
+        audit: true,
+        ..ScanOptions::default()
+    };
+    let report = AuditReport::build(&scan_paths(&roots, &opts));
+    assert!(report.total > 0, "the corpus has scripts");
+    let dfa_cap = report.fleet.loss_totals().get(&LossCause::DfaCap).copied();
+    assert_eq!(dfa_cap.unwrap_or(0), 0, "dfa-cap losses over the figure corpus");
 }

@@ -277,22 +277,87 @@ fn subcommand_help_prints_the_usage() {
     }
 }
 
-/// `analyze` and `scan` run in-process only: `--daemon` is an unknown
-/// option there, as is any other, and neither is taken for a script
-/// path.
+/// Every subcommand that takes scripts or paths rejects an unknown
+/// option instead of reading it as one: `--daemon` on `analyze` and
+/// `scan` (they run in-process only), `--audit` on `scan` (`shoal
+/// audit` is the one route to the fleet report), and `--bogus`
+/// anywhere.
 #[test]
 fn analyze_and_scan_reject_unknown_options() {
-    for cmd in ["analyze", "scan"] {
-        for flag in ["--daemon", "--bogus"] {
-            let out = run_shoal(&[cmd, flag, "examples/fig1.sh"], &[], b"");
-            assert_eq!(out.status.code(), Some(2), "shoal {cmd} {flag}");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains(&format!("shoal {cmd}: unknown option \"{flag}\"")),
-                "shoal {cmd} {flag} printed {stderr:?}"
-            );
-        }
+    let bogus =
+        ["analyze", "scan", "lint", "coach", "audit", "jit", "verify"].map(|cmd| (cmd, "--bogus"));
+    let cases = [("analyze", "--daemon"), ("scan", "--daemon"), ("scan", "--audit")];
+    for (cmd, flag) in cases.into_iter().chain(bogus) {
+        let out = run_shoal(&[cmd, flag, "examples/fig1.sh"], &[], b"");
+        assert_eq!(out.status.code(), Some(2), "shoal {cmd} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("shoal {cmd}: unknown option \"{flag}\"")),
+            "shoal {cmd} {flag} printed {stderr:?}"
+        );
+        assert!(out.stdout.is_empty(), "shoal {cmd} {flag} printed a report");
     }
+}
+
+/// `shoal audit` prints the fleet `shoal-audit/v1` report and exits 0
+/// (it is a report, not a gate); `shoal scan` JSON carries no audit
+/// key.
+#[test]
+fn audit_prints_the_fleet_report_and_scan_stays_dark() {
+    let audit = run_shoal(&["audit", "--format", "json", "examples/"], &[], b"");
+    assert_eq!(audit.status.code(), Some(0), "shoal audit exit code");
+    let doc = String::from_utf8_lossy(&audit.stdout);
+    for key in [r#""schema":"shoal-audit/v1""#, r#""missing_specs""#, r#""by_cause""#] {
+        assert!(doc.contains(key), "audit report carries no {key}: {doc}");
+    }
+    let scan = run_shoal(&["scan", "--jobs", "1", "--format", "json", "examples/"], &[], b"");
+    let doc = String::from_utf8_lossy(&scan.stdout);
+    assert!(doc.contains("shoal-report/v1"), "scan printed {doc:?}");
+    assert!(!doc.contains(r#""audit""#), "scan JSON grew an audit key: {doc}");
+}
+
+/// `analyze` and `jit` share one text renderer: with no daemon to
+/// reach, `shoal jit --no-spawn` falls back in-process and prints the
+/// text, and exits with the code, that `shoal analyze` does, over
+/// examples/*.sh and a script whose loop hits the unrolling cap.
+#[test]
+fn jit_fallback_prints_the_text_analyze_prints() {
+    let dir = std::env::temp_dir().join(format!("shoal-no-daemon-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let capped = dir.join("capped.sh");
+    std::fs::write(&capped, "while [ -f /tmp/go ]; do echo x; done\n").unwrap();
+    let mut scripts: Vec<String> = std::fs::read_dir("examples")
+        .expect("examples/ is readable")
+        .flatten()
+        .map(|e| e.path().to_string_lossy().into_owned())
+        .filter(|p| p.ends_with(".sh"))
+        .collect();
+    scripts.sort();
+    assert!(!scripts.is_empty(), "examples/ has scripts");
+    scripts.push(capped.to_string_lossy().into_owned());
+    let socket = dir.join("daemon.sock");
+    let mut jit = vec!["jit", "--no-spawn", "--socket", socket.to_str().unwrap()];
+    let mut analyze = vec!["analyze"];
+    jit.extend(scripts.iter().map(String::as_str));
+    analyze.extend(scripts.iter().map(String::as_str));
+
+    let (jit, direct) = (run_shoal(&jit, &[], b""), run_shoal(&analyze, &[], b""));
+    assert_eq!(
+        String::from_utf8_lossy(&jit.stdout),
+        String::from_utf8_lossy(&direct.stdout),
+        "jit fallback text differs from analyze"
+    );
+    assert_eq!(jit.status.code(), direct.status.code(), "exit code");
+    let stderr = String::from_utf8_lossy(&jit.stderr);
+    assert_eq!(
+        stderr.matches("served=local-fallback").count(),
+        scripts.len(),
+        "every script falls back: {stderr:?}"
+    );
+    let text = String::from_utf8_lossy(&direct.stdout);
+    assert!(text.contains("capped.sh: cap hit: loop_bound"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `shoal lsp` over stdio: initialize, didOpen Fig. 1, a didChange
